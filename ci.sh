@@ -13,6 +13,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> perfbench tests (conservation checks, traced == untraced digests)"
+# perfbench is a Cargo workspace of its own, so the workspace run above
+# does not reach it; a conservation or digest break in the simulator
+# must fail here, not only in the benchmark pipeline.
+cargo test --release -q --manifest-path perfbench/Cargo.toml
+
 echo "==> bench smoke (schema check, live epoch streaming on)"
 bench_dir="$(mktemp -d)"
 trap 'rm -rf "$bench_dir"' EXIT

@@ -65,7 +65,8 @@ use rip_baselines::{
     DesignPoint, LoadBalancedRouter, MeshFabric, ParallelPacketSwitch, SprayingHbmSwitch,
 };
 use rip_bench::{
-    f, switch_trace, uniform_port_sources, uniform_source, uniform_trace, version_line, Table,
+    delay_mean_p99_us, f, fmt_us, switch_trace, uniform_port_sources, uniform_source,
+    uniform_trace, version_line, Table,
 };
 use rip_core::{
     DrainPolicy, EngineKind, FaultPlan, HbmSwitch, LiveOptions, MimicChecker, RouterConfig,
@@ -773,13 +774,12 @@ fn e14(o: &Opts) {
             let trace = uniform_trace(&cfg, load, horizon, 0xE14);
             let sw = HbmSwitch::new(cfg).unwrap();
             let r = sw.run(&trace, drain);
-            let mean = r.delays_ns.mean().unwrap_or(f64::NAN) / 1000.0;
-            let p99 = r.delays_ns.quantile(0.99).unwrap_or(f64::NAN) / 1000.0;
+            let (mean, p99) = delay_mean_p99_us(&r.delays_ns);
             t.row(&[
                 f(load, 2),
                 if pb { "on" } else { "off" }.into(),
-                format!("{mean:.2} us"),
-                format!("{p99:.2} us"),
+                fmt_us(mean),
+                fmt_us(p99),
                 format!("{:.1}%", r.delivery_fraction * 100.0),
                 format!(
                     "{:.1}%",

@@ -96,7 +96,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use rip_bench::fleet::{push_worker_stream, CollectError, Collector, FleetJob};
-use rip_bench::{version_line, Table, SERVICE_VERSION};
+use rip_bench::{delay_mean_p99_us, fmt_us, version_line, Table, SERVICE_VERSION};
 use rip_core::{
     ConfigError, DrainPolicy, EngineKind, FaultKind, FaultPlan, HbmSwitch, LiveOptions,
     RouterConfig, RunOutcome, SpsRouter, SpsWorkload,
@@ -332,14 +332,10 @@ fn run(spec: &SimSpec) -> Result<(), String> {
         "drops input / HBM-region".into(),
         format!("{} / {}", r.dropped_input, r.dropped_frames),
     ]);
-    t.row(&[
-        "delay mean / p99".into(),
-        format!(
-            "{:.2} us / {:.2} us",
-            r.delays_ns.mean().unwrap_or(f64::NAN) / 1e3,
-            r.delays_ns.quantile(0.99).unwrap_or(f64::NAN) / 1e3
-        ),
-    ]);
+    t.row(&["delay mean / p99".into(), {
+        let (mean, p99) = delay_mean_p99_us(&r.delays_ns);
+        format!("{} / {}", fmt_us(mean), fmt_us(p99))
+    }]);
     t.row(&[
         "HBM utilization".into(),
         format!("{:.1}%", r.hbm_utilization * 100.0),

@@ -7,6 +7,7 @@
 pub mod fleet;
 
 use rip_core::RouterConfig;
+use rip_sim::stats::Histogram;
 
 /// The workspace version every binary reports — the same string
 /// `MetricsServer::set_build_info` exposes as the `_build_info` gauge's
@@ -21,6 +22,23 @@ pub const SERVICE_VERSION: &str = env!("CARGO_PKG_VERSION");
 pub fn version_line(service: &str) -> String {
     format!("{service} {SERVICE_VERSION} (rip-bench workspace build)")
 }
+
+/// Mean and p99 of a nanosecond delay histogram, in microseconds.
+/// Both are `None` when the histogram is empty (nothing was delivered);
+/// serialized as JSON a missing figure is `null`, never `NaN`.
+pub fn delay_mean_p99_us(delays_ns: &Histogram) -> (Option<f64>, Option<f64>) {
+    (
+        delays_ns.mean().map(|ns| ns / 1e3),
+        delays_ns.quantile(0.99).map(|ns| ns / 1e3),
+    )
+}
+
+/// A microsecond figure for a text table: `12.34 us`, or `n/a` when
+/// there is none.
+pub fn fmt_us(us: Option<f64>) -> String {
+    us.map_or_else(|| "n/a".into(), |us| format!("{us:.2} us"))
+}
+
 use rip_traffic::{
     merge_streams, ArrivalProcess, BoundedSource, MergedSource, Packet, PacketGenerator,
     SizeDistribution, TrafficMatrix,

@@ -398,6 +398,12 @@ impl RouterConfig {
                 switches: self.switches,
             });
         }
+        if self.gamma == 0 {
+            return Err(ConfigError::GammaZero);
+        }
+        if self.segment.is_zero() {
+            return Err(ConfigError::SegmentZero);
+        }
         self.hbm_geometry.validate().map_err(ConfigError::Hbm)?;
         self.hbm_timing.validate().map_err(ConfigError::Hbm)?;
         if !(1.0..=4.0).contains(&self.speedup) {
@@ -527,6 +533,16 @@ mod tests {
         let mut c = RouterConfig::small();
         c.head_frames = 0;
         assert!(c.validate().is_err());
+
+        // An empty frame (K = γ·T·S = 0) is a typed error, not a
+        // divide-by-zero in the region arithmetic.
+        let mut c = RouterConfig::small();
+        c.gamma = 0;
+        assert_eq!(c.validate(), Err(ConfigError::GammaZero));
+
+        let mut c = RouterConfig::small();
+        c.segment = DataSize::ZERO;
+        assert_eq!(c.validate(), Err(ConfigError::SegmentZero));
     }
 
     #[test]

@@ -37,6 +37,12 @@ pub enum ConfigError {
         /// k — batch size.
         batch: DataSize,
     },
+    /// γ, the banks per interleaving group, is zero (the frame
+    /// `K = γ·T·S` would be empty).
+    GammaZero,
+    /// S, the PFI segment size, is zero (the frame `K = γ·T·S` would be
+    /// empty).
+    SegmentZero,
     /// The head SRAM budget is zero frames.
     NoHeadFrames,
     /// A per-output HBM region cannot hold even two frames.
@@ -110,6 +116,10 @@ impl fmt::Display for ConfigError {
             ConfigError::FrameBatchMismatch { frame, batch } => {
                 write!(f, "frame {frame} not a multiple of batch {batch}")
             }
+            ConfigError::GammaZero => {
+                write!(f, "gamma (banks per interleaving group) must be positive")
+            }
+            ConfigError::SegmentZero => write!(f, "PFI segment size must be positive"),
             ConfigError::NoHeadFrames => {
                 write!(f, "head SRAM must hold at least one frame")
             }

@@ -9,7 +9,7 @@ use rip_telemetry::{
 };
 use rip_traffic::hash::{lane_for, HashKind};
 use rip_traffic::{
-    ArrivalProcess, BoundedSource, FiberFill, Packet, PacketGenerator, PacketSource,
+    ArrivalProcess, BoundedSource, FiberFill, MergedSource, Packet, PacketGenerator, PacketSource,
     SizeDistribution, StatefulSource, TrafficMatrix,
 };
 use rip_units::{DataSize, SimTime, TimeDelta};
@@ -150,19 +150,24 @@ struct Epoch {
 /// The streaming front end of one plane: a pull-based demultiplexing
 /// source built by [`SpsRouter::plane_source`].
 ///
-/// It re-derives every per-fiber [`PacketGenerator`] (same seeds as
-/// [`SpsRouter::split_traffic`]), k-way-merges them in global
-/// `(arrival, input, id)` order with lane insertion order as the final
-/// tie-break — the exact order `split_traffic`'s stable sort produces —
-/// and filters the merged stream through the photonic fault epochs:
-/// packets on a lost wavelength are dropped at the front end (counted
-/// here when this plane would have received them), and packets steered
-/// to other planes are skipped. Each plane's source regenerates the
-/// full fiber set independently, trading H× generation CPU for
-/// O(fibers) memory per plane instead of a materialized per-plane
-/// trace; per-plane reports stay byte-identical to the batch split.
+/// The photonic split sends each fiber to exactly one plane per fault
+/// epoch, so the source holds only this plane's fibers: every (ribbon,
+/// fiber) generator that some epoch's split map steers here (same
+/// seeds as [`SpsRouter::split_traffic`]). A [`MergedSource`] merges
+/// them in global `(arrival, input, id)` order with lane order as the
+/// final tie-break — the exact order `split_traffic`'s stable sort
+/// produces — and this type filters the merged stream through the
+/// photonic fault epochs: packets on a lost wavelength are dropped at
+/// the front end (counted here when this plane would have received
+/// them), and packets of an epoch that steers their fiber elsewhere are
+/// skipped. Memory per plane is O(fibers of the plane) instead of a
+/// materialized trace, and per-plane reports stay byte-identical to the
+/// batch split.
 pub struct PlaneSource {
-    lanes: Vec<FiberLane>,
+    merged: MergedSource<BoundedSource<PacketGenerator>>,
+    /// `(ribbon, fiber)` of each merged lane, in lane order; the split
+    /// map routes by fiber, which [`Packet`] does not carry.
+    fibers: Vec<(usize, usize)>,
     epochs: Vec<Epoch>,
     /// Whether each epoch has any lost wavelength (skips the per-packet
     /// flow hash in healthy epochs).
@@ -171,17 +176,6 @@ pub struct PlaneSource {
     wavelengths: usize,
     fe_dropped_packets: u64,
     fe_dropped: DataSize,
-}
-
-/// One (ribbon, fiber) generator lane inside a [`PlaneSource`], with a
-/// one-packet merge lookahead. The fiber index lives here because
-/// [`Packet`] does not carry it, and the split map routes by fiber.
-struct FiberLane {
-    ribbon: usize,
-    fiber: usize,
-    source: BoundedSource<PacketGenerator>,
-    pending: Option<Packet>,
-    done: bool,
 }
 
 impl PlaneSource {
@@ -197,41 +191,18 @@ impl PlaneSource {
     pub fn front_end_dropped(&self) -> DataSize {
         self.fe_dropped
     }
+
+    /// The `(ribbon, fiber)` lanes this plane generates, in merge order.
+    pub fn fibers(&self) -> &[(usize, usize)] {
+        &self.fibers
+    }
 }
 
 impl PacketSource for PlaneSource {
     fn next_packet(&mut self) -> Option<Packet> {
         loop {
-            // Refill lane lookaheads and pick the globally earliest
-            // packet; strict `<` keeps the earliest lane on full
-            // (arrival, input, id) ties, matching the stable sort.
-            let mut best: Option<usize> = None;
-            for i in 0..self.lanes.len() {
-                if self.lanes[i].pending.is_none() && !self.lanes[i].done {
-                    match self.lanes[i].source.next_packet() {
-                        Some(p) => self.lanes[i].pending = Some(p),
-                        None => self.lanes[i].done = true,
-                    }
-                }
-                if let Some(p) = &self.lanes[i].pending {
-                    let better = match best {
-                        None => true,
-                        Some(b) => {
-                            let q = self.lanes[b].pending.as_ref().expect("best has pending");
-                            (p.arrival, p.input, p.id) < (q.arrival, q.input, q.id)
-                        }
-                    };
-                    if better {
-                        best = Some(i);
-                    }
-                }
-            }
-            let i = best?;
-            let p = self.lanes[i]
-                .pending
-                .take()
-                .expect("chosen lane has pending");
-            let (ribbon, fiber) = (self.lanes[i].ribbon, self.lanes[i].fiber);
+            let (i, p) = self.merged.next_indexed()?;
+            let (ribbon, fiber) = self.fibers[i];
             let e = self.epochs.partition_point(|ep| ep.start <= p.arrival) - 1;
             let ep = &self.epochs[e];
             let target = ep.split.switch_for(ribbon, fiber);
@@ -252,20 +223,11 @@ impl PacketSource for PlaneSource {
     }
 }
 
-/// Serialized position of one [`FiberLane`]: its bounded generator's
-/// pull state plus the merge lookahead.
-#[derive(Serialize, Deserialize)]
-struct LaneState {
-    source: Value,
-    pending: Option<Packet>,
-    done: bool,
-}
-
 /// Serialized [`PlaneSource`] position. The lane set itself is derived
-/// from the workload, so only the mutable pull state rides along.
+/// from the workload, so only the merged lanes' pull state rides along.
 #[derive(Serialize, Deserialize)]
 struct PlaneSourceState {
-    lanes: Vec<LaneState>,
+    lanes: Vec<Value>,
     fe_dropped_packets: u64,
     fe_dropped: DataSize,
 }
@@ -273,15 +235,7 @@ struct PlaneSourceState {
 impl StatefulSource for PlaneSource {
     fn save_state(&self) -> Value {
         PlaneSourceState {
-            lanes: self
-                .lanes
-                .iter()
-                .map(|l| LaneState {
-                    source: l.source.save_state(),
-                    pending: l.pending,
-                    done: l.done,
-                })
-                .collect(),
+            lanes: self.merged.save_lanes(),
             fe_dropped_packets: self.fe_dropped_packets,
             fe_dropped: self.fe_dropped,
         }
@@ -290,18 +244,14 @@ impl StatefulSource for PlaneSource {
 
     fn restore_state(&mut self, state: &Value) -> Result<(), DeError> {
         let st = PlaneSourceState::from_value(state)?;
-        if st.lanes.len() != self.lanes.len() {
+        if st.lanes.len() != self.merged.lane_count() {
             return Err(DeError::custom(format!(
                 "plane source has {} lanes, snapshot has {}",
-                self.lanes.len(),
+                self.merged.lane_count(),
                 st.lanes.len()
             )));
         }
-        for (lane, ls) in self.lanes.iter_mut().zip(st.lanes) {
-            lane.source.restore_state(&ls.source)?;
-            lane.pending = ls.pending;
-            lane.done = ls.done;
-        }
+        self.merged.restore_lanes(&st.lanes)?;
         self.fe_dropped_packets = st.fe_dropped_packets;
         self.fe_dropped = st.fe_dropped;
         Ok(())
@@ -379,58 +329,26 @@ impl SpsRouter {
     /// per-switch arrival-ordered traces (packet `input`/`output` are
     /// ribbon indices — switch-port indices).
     pub fn split_traffic(&self, w: &SpsWorkload, horizon: SimTime) -> Vec<Vec<Packet>> {
-        assert_eq!(w.tm.n(), self.cfg.ribbons, "TM must be ribbon-sized");
-        let f = self.cfg.fibers_per_ribbon;
-        let mut per_switch: Vec<Vec<Packet>> = vec![Vec::new(); self.cfg.switches];
-        for ribbon in 0..self.cfg.ribbons {
-            // Per-fiber offered loads for this ribbon.
-            let fiber_loads = w.fill.loads(f, w.load * f as f64);
-            for (fiber, &load) in fiber_loads.iter().enumerate() {
-                if load <= 0.0 {
-                    continue;
-                }
-                let mut g = PacketGenerator::new(
-                    ribbon,
-                    self.front_end.fiber_rate(),
-                    load.min(1.0),
-                    w.tm.row(ribbon).to_vec(),
-                    w.sizes.clone(),
-                    w.process,
-                    w.flows,
-                    rip_sim::rng::derive_seed(w.seed, (ribbon * f + fiber) as u64),
-                )
-                .expect("valid generator");
-                let sw = self.front_end.split().switch_for(ribbon, fiber);
-                per_switch[sw].extend(g.generate_until(horizon));
-            }
-        }
-        for t in per_switch.iter_mut() {
-            t.sort_by_key(|p| (p.arrival, p.input, p.id));
-        }
-        per_switch
+        self.split_traffic_faulted(w, horizon, &FaultPlan::default())
+            .0
     }
 
-    /// Build the streaming front end for one plane: a [`PlaneSource`]
-    /// yielding, in arrival order, exactly the packets that
-    /// [`SpsRouter::split_traffic`] (or, under photonic faults,
-    /// [`SpsRouter::split_traffic_faulted`]) would place in plane
-    /// `plane`'s trace — without materializing any trace. Pass
-    /// [`FaultPlan::default`] for a healthy front end.
-    pub fn plane_source(
+    /// The generator of every loaded (ribbon, fiber) for which `keep`
+    /// holds, in (ribbon, fiber) order. Each seed derives from the
+    /// fiber's global index alone, so a fiber generates the same packets
+    /// whichever other fibers are built.
+    fn fiber_generators(
         &self,
         w: &SpsWorkload,
-        horizon: SimTime,
-        plan: &FaultPlan,
-        plane: usize,
-    ) -> PlaneSource {
+        keep: impl Fn(usize, usize) -> bool,
+    ) -> Vec<(usize, usize, PacketGenerator)> {
         assert_eq!(w.tm.n(), self.cfg.ribbons, "TM must be ribbon-sized");
-        assert!(plane < self.cfg.switches, "plane index out of range");
         let f = self.cfg.fibers_per_ribbon;
-        let mut lanes = Vec::new();
+        let fiber_loads = w.fill.loads(f, w.load * f as f64);
+        let mut out = Vec::new();
         for ribbon in 0..self.cfg.ribbons {
-            let fiber_loads = w.fill.loads(f, w.load * f as f64);
             for (fiber, &load) in fiber_loads.iter().enumerate() {
-                if load <= 0.0 {
+                if load <= 0.0 || !keep(ribbon, fiber) {
                     continue;
                 }
                 let g = PacketGenerator::new(
@@ -444,22 +362,49 @@ impl SpsRouter {
                     rip_sim::rng::derive_seed(w.seed, (ribbon * f + fiber) as u64),
                 )
                 .expect("valid generator");
-                lanes.push(FiberLane {
-                    ribbon,
-                    fiber,
-                    source: BoundedSource::new(g, horizon),
-                    pending: None,
-                    done: false,
-                });
+                out.push((ribbon, fiber, g));
             }
         }
+        out
+    }
+
+    /// Build the streaming front end for one plane: a [`PlaneSource`]
+    /// yielding, in arrival order, exactly the packets that
+    /// [`SpsRouter::split_traffic`] (or, under photonic faults,
+    /// [`SpsRouter::split_traffic_faulted`]) would place in plane
+    /// `plane`'s trace — without materializing any trace. Pass
+    /// [`FaultPlan::default`] for a healthy front end.
+    ///
+    /// Only fibers that some fault epoch's split map steers to `plane`
+    /// are generated. The pruning is exact: a fiber never steered here
+    /// yields nothing to this plane and adds nothing to its front-end
+    /// drops, and dropping whole lanes keeps the merge order of the
+    /// rest.
+    pub fn plane_source(
+        &self,
+        w: &SpsWorkload,
+        horizon: SimTime,
+        plan: &FaultPlan,
+        plane: usize,
+    ) -> PlaneSource {
+        assert!(plane < self.cfg.switches, "plane index out of range");
         let epochs = self.epochs(plan);
+        let (fibers, lanes) = self
+            .fiber_generators(w, |ribbon, fiber| {
+                epochs
+                    .iter()
+                    .any(|e| e.split.switch_for(ribbon, fiber) == plane)
+            })
+            .into_iter()
+            .map(|(ribbon, fiber, g)| ((ribbon, fiber), BoundedSource::new(g, horizon)))
+            .unzip();
         let epoch_has_loss = epochs
             .iter()
             .map(|e| e.lost.iter().flatten().any(|&b| b))
             .collect();
         PlaneSource {
-            lanes,
+            merged: MergedSource::new(lanes),
+            fibers,
             epochs,
             epoch_has_loss,
             plane,
@@ -953,39 +898,20 @@ impl SpsRouter {
         horizon: SimTime,
         plan: &FaultPlan,
     ) -> (Vec<Vec<Packet>>, u64, DataSize) {
-        assert_eq!(w.tm.n(), self.cfg.ribbons, "TM must be ribbon-sized");
         let epochs = self.epochs(plan);
-        let f = self.cfg.fibers_per_ribbon;
         let mut per_switch: Vec<Vec<Packet>> = vec![Vec::new(); self.cfg.switches];
         let mut dropped_packets = 0u64;
         let mut dropped = DataSize::ZERO;
-        for ribbon in 0..self.cfg.ribbons {
-            let fiber_loads = w.fill.loads(f, w.load * f as f64);
-            for (fiber, &load) in fiber_loads.iter().enumerate() {
-                if load <= 0.0 {
+        for (ribbon, fiber, mut g) in self.fiber_generators(w, |_, _| true) {
+            for p in g.generate_until(horizon) {
+                let ep = &epochs[epochs.partition_point(|e| e.start <= p.arrival) - 1];
+                let lambda = lane_for(p.flow, self.cfg.wavelengths, HashKind::Crc32c);
+                if ep.lost[ribbon][lambda] {
+                    dropped_packets += 1;
+                    dropped += p.size;
                     continue;
                 }
-                let mut g = PacketGenerator::new(
-                    ribbon,
-                    self.front_end.fiber_rate(),
-                    load.min(1.0),
-                    w.tm.row(ribbon).to_vec(),
-                    w.sizes.clone(),
-                    w.process,
-                    w.flows,
-                    rip_sim::rng::derive_seed(w.seed, (ribbon * f + fiber) as u64),
-                )
-                .expect("valid generator");
-                for p in g.generate_until(horizon) {
-                    let ep = &epochs[epochs.partition_point(|e| e.start <= p.arrival) - 1];
-                    let lambda = lane_for(p.flow, self.cfg.wavelengths, HashKind::Crc32c);
-                    if ep.lost[ribbon][lambda] {
-                        dropped_packets += 1;
-                        dropped += p.size;
-                        continue;
-                    }
-                    per_switch[ep.split.switch_for(ribbon, fiber)].push(p);
-                }
+                per_switch[ep.split.switch_for(ribbon, fiber)].push(p);
             }
         }
         for t in per_switch.iter_mut() {

@@ -25,6 +25,9 @@
 //! [`PacketGenerator::generate_until`]: crate::PacketGenerator::generate_until
 //! [`merge_streams`]: crate::merge_streams
 
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+
 use rip_units::SimTime;
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -200,13 +203,33 @@ impl<S: StatefulSource> StatefulSource for BoundedSource<S> {
 /// [`merge_streams`] sorts by — and, on full key ties, by lane
 /// insertion order (which is what `merge_streams`'s stable sort
 /// preserves). Each lane buffers at most one pending packet, so the
-/// merge runs in O(lanes) memory regardless of horizon.
+/// merge runs in O(lanes) memory regardless of horizon, and a min-heap
+/// of the lane heads keyed `(arrival, input, id, lane)` makes each
+/// pull O(log lanes).
+///
+/// Only the lane that yielded the previous packet is re-pulled, lazily
+/// at the start of the next call, so the checkpointed position (every
+/// lane's source state, lookahead and end flag) is exactly what an
+/// eager refill-every-lane scan would leave. The heap is derived from
+/// the lookaheads: it is never serialized, and it is rebuilt on the
+/// first pull after construction or [`StatefulSource::restore_state`].
 ///
 /// [`merge_streams`]: crate::merge_streams
 #[derive(Debug)]
 pub struct MergedSource<S> {
     lanes: Vec<Lane<S>>,
+    /// Lanes holding a lookahead, keyed for the merge order.
+    heap: BinaryHeap<Reverse<HeadKey>>,
+    /// Whether `heap` mirrors the lookaheads (false until the first
+    /// pull after construction or restore).
+    primed: bool,
+    /// Whether the heap top is the lane that yielded the last packet
+    /// and still has to be refilled.
+    top_taken: bool,
 }
+
+/// Merge key of a lane head: `(arrival, input, id, lane)`.
+type HeadKey = (SimTime, usize, u64, usize);
 
 #[derive(Debug)]
 struct Lane<S> {
@@ -218,10 +241,24 @@ struct Lane<S> {
     done: bool,
 }
 
+impl<S: PacketSource> Lane<S> {
+    /// Pull a lookahead into an empty, unfinished lane; the merge key
+    /// of the lane's head, if it has one.
+    fn refill(&mut self, index: usize) -> Option<HeadKey> {
+        if self.pending.is_none() && !self.done {
+            self.pending = self.source.next_packet();
+            self.done = self.pending.is_none();
+        }
+        self.pending
+            .as_ref()
+            .map(|p| (p.arrival, p.input, p.id, index))
+    }
+}
+
 impl<S: PacketSource> MergedSource<S> {
     /// Merge `sources`; lane order is the tie-break of last resort.
     pub fn new(sources: Vec<S>) -> Self {
-        let lanes = sources
+        let lanes: Vec<Lane<S>> = sources
             .into_iter()
             .map(|source| Lane {
                 source,
@@ -229,37 +266,57 @@ impl<S: PacketSource> MergedSource<S> {
                 done: false,
             })
             .collect();
-        Self { lanes }
+        Self {
+            heap: BinaryHeap::with_capacity(lanes.len()),
+            lanes,
+            primed: false,
+            top_taken: false,
+        }
+    }
+
+    /// Number of merged lanes.
+    pub fn lane_count(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// The next packet in merge order together with the index of the
+    /// lane (position in the `sources` given to [`MergedSource::new`])
+    /// that yielded it.
+    pub fn next_indexed(&mut self) -> Option<(usize, Packet)> {
+        if !self.primed {
+            self.heap.clear();
+            for (i, lane) in self.lanes.iter_mut().enumerate() {
+                if let Some(key) = lane.refill(i) {
+                    self.heap.push(Reverse(key));
+                }
+            }
+            self.primed = true;
+        } else if std::mem::take(&mut self.top_taken) {
+            let mut top = self
+                .heap
+                .peek_mut()
+                .expect("the yielding lane heads the heap");
+            let i = top.0 .3;
+            match self.lanes[i].refill(i) {
+                Some(key) => *top = Reverse(key),
+                None => {
+                    PeekMut::pop(top);
+                }
+            }
+        }
+        let Reverse((.., i)) = *self.heap.peek()?;
+        self.top_taken = true;
+        let p = self.lanes[i]
+            .pending
+            .take()
+            .expect("heap lanes hold a lookahead");
+        Some((i, p))
     }
 }
 
 impl<S: PacketSource> PacketSource for MergedSource<S> {
     fn next_packet(&mut self) -> Option<Packet> {
-        // Refill lookaheads, then take the lane whose pending packet
-        // has the smallest (arrival, input, id); strict `<` keeps the
-        // earliest lane on full ties.
-        let mut best: Option<usize> = None;
-        for i in 0..self.lanes.len() {
-            if self.lanes[i].pending.is_none() && !self.lanes[i].done {
-                match self.lanes[i].source.next_packet() {
-                    Some(p) => self.lanes[i].pending = Some(p),
-                    None => self.lanes[i].done = true,
-                }
-            }
-            if let Some(p) = &self.lanes[i].pending {
-                let better = match best {
-                    None => true,
-                    Some(b) => {
-                        let q = self.lanes[b].pending.as_ref().expect("best has pending");
-                        (p.arrival, p.input, p.id) < (q.arrival, q.input, q.id)
-                    }
-                };
-                if better {
-                    best = Some(i);
-                }
-            }
-        }
-        best.and_then(|i| self.lanes[i].pending.take())
+        self.next_indexed().map(|(_, p)| p)
     }
 }
 
@@ -272,40 +329,59 @@ struct LaneState {
 
 #[derive(Serialize, Deserialize)]
 struct MergedState {
-    lanes: Vec<LaneState>,
+    lanes: Vec<Value>,
+}
+
+impl<S: StatefulSource> MergedSource<S> {
+    /// Every lane's position (source state, lookahead, end flag) in lane
+    /// order: the body of [`StatefulSource::save_state`], for wrappers
+    /// that frame the lanes inside a state of their own.
+    pub fn save_lanes(&self) -> Vec<Value> {
+        self.lanes
+            .iter()
+            .map(|l| {
+                LaneState {
+                    inner: l.source.save_state(),
+                    pending: l.pending,
+                    done: l.done,
+                }
+                .to_value()
+            })
+            .collect()
+    }
+
+    /// Restore positions captured by [`MergedSource::save_lanes`] onto a
+    /// freshly built, identically configured merge.
+    pub fn restore_lanes(&mut self, lanes: &[Value]) -> Result<(), DeError> {
+        if lanes.len() != self.lanes.len() {
+            return Err(DeError::custom(format!(
+                "merged source has {} lanes, snapshot has {}",
+                self.lanes.len(),
+                lanes.len()
+            )));
+        }
+        for (lane, v) in self.lanes.iter_mut().zip(lanes) {
+            let ls = LaneState::from_value(v)?;
+            lane.source.restore_state(&ls.inner)?;
+            lane.pending = ls.pending;
+            lane.done = ls.done;
+        }
+        self.primed = false;
+        self.top_taken = false;
+        Ok(())
+    }
 }
 
 impl<S: StatefulSource> StatefulSource for MergedSource<S> {
     fn save_state(&self) -> Value {
         MergedState {
-            lanes: self
-                .lanes
-                .iter()
-                .map(|l| LaneState {
-                    inner: l.source.save_state(),
-                    pending: l.pending,
-                    done: l.done,
-                })
-                .collect(),
+            lanes: self.save_lanes(),
         }
         .to_value()
     }
 
     fn restore_state(&mut self, state: &Value) -> Result<(), DeError> {
-        let s = MergedState::from_value(state)?;
-        if s.lanes.len() != self.lanes.len() {
-            return Err(DeError::custom(format!(
-                "merged source has {} lanes, snapshot has {}",
-                self.lanes.len(),
-                s.lanes.len()
-            )));
-        }
-        for (lane, ls) in self.lanes.iter_mut().zip(&s.lanes) {
-            lane.source.restore_state(&ls.inner)?;
-            lane.pending = ls.pending;
-            lane.done = ls.done;
-        }
-        Ok(())
+        self.restore_lanes(&MergedState::from_value(state)?.lanes)
     }
 }
 

@@ -23,12 +23,13 @@ use rip_core::{
 };
 use rip_integration_tests::source_for;
 use rip_photonics::SplitPattern;
-use rip_sim::snapshot::{load_latest, prev_slot, write_snapshot};
+use rip_sim::snapshot::{load_latest, prev_slot, write_snapshot, SnapshotError};
 use rip_sim::QueueKind;
 use rip_telemetry::{MemorySink, SharedSink, SinkRecord};
+use rip_traffic::StatefulSource;
 use rip_traffic::TrafficMatrix;
 use rip_units::{SimTime, TimeDelta};
-use serde::Value;
+use serde::{Serialize, Value};
 
 const PERIOD: TimeDelta = TimeDelta::from_ns(2_000);
 
@@ -284,6 +285,116 @@ fn sps_setup() -> (SpsRouter, SpsWorkload, SimTime, LiveOptions) {
         sample_one_in: 64,
     };
     (router, w, SimTime::from_ns(40_000), opts)
+}
+
+/// `v`'s field `key`, for a JSON object `v`.
+fn field_mut<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+    let Value::Object(fields) = v else {
+        panic!("{key}: not an object")
+    };
+    &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1
+}
+
+/// A plane-source snapshot in the layout written before plane sources
+/// were pruned to their own fibers: one `{source, pending, done}` lane
+/// per loaded fiber of the whole router — here, every plane's lanes.
+fn unpruned_plane_state(router: &SpsRouter, w: &SpsWorkload, horizon: SimTime) -> Value {
+    let mut lanes = Vec::new();
+    for plane in 0..RouterConfig::small().switches {
+        let mut state = router
+            .plane_source(w, horizon, &FaultPlan::default(), plane)
+            .save_state();
+        let Value::Array(plane_lanes) =
+            std::mem::replace(field_mut(&mut state, "lanes"), Value::Null)
+        else {
+            panic!("lanes: not an array")
+        };
+        for mut lane in plane_lanes {
+            if let Value::Object(fields) = &mut lane {
+                for (k, _) in fields.iter_mut().filter(|(k, _)| k == "inner") {
+                    *k = "source".into();
+                }
+            }
+            lanes.push(lane);
+        }
+    }
+    Value::Object(vec![
+        ("lanes".into(), Value::Array(lanes)),
+        ("fe_dropped_packets".into(), 0u64.to_value()),
+        ("fe_dropped".into(), rip_units::DataSize::ZERO.to_value()),
+    ])
+}
+
+/// Swap the plane-source state nested anywhere in `v` for `with`.
+fn replace_plane_state(v: &mut Value, with: &Value) -> bool {
+    match v {
+        Value::Object(fields) if fields.iter().any(|(k, _)| k == "fe_dropped_packets") => {
+            *v = with.clone();
+            true
+        }
+        Value::Object(fields) => fields.iter_mut().any(|(_, x)| replace_plane_state(x, with)),
+        Value::Array(items) => items.iter_mut().any(|x| replace_plane_state(x, with)),
+        _ => false,
+    }
+}
+
+#[test]
+fn sps_checkpoint_from_before_plane_pruning_fails_to_resume_typed() {
+    // A plane source now holds only its own α·N fibers; a snapshot
+    // written when every plane held all F·N fibers must be refused with
+    // the typed lane-count error, never a panic or a wrong resume.
+    let (router, w, horizon, opts) = sps_setup();
+    let unpruned = unpruned_plane_state(&router, &w, horizon);
+    let mut src = router.plane_source(&w, horizon, &FaultPlan::default(), 0);
+    let err = src.restore_state(&unpruned).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "plane source has 16 lanes, snapshot has 64"
+    );
+
+    let last: RefCell<Option<Value>> = RefCell::new(None);
+    let outcome = router
+        .run_streamed_checkpointed(
+            &w,
+            horizon,
+            &FaultPlan::default(),
+            opts,
+            &mut MemorySink::new(),
+            None,
+            1,
+            &mut || last.borrow().is_some(),
+            &mut |state, _| {
+                *last.borrow_mut() = Some(state.clone());
+                Ok(())
+            },
+        )
+        .expect("interruptible run");
+    assert!(outcome.is_none(), "run was not interrupted");
+    let mut state = last.into_inner().expect("a snapshot was taken");
+    assert!(
+        replace_plane_state(&mut state, &unpruned),
+        "the snapshot was taken mid-plane, with a plane source inside"
+    );
+    let err = router
+        .run_streamed_checkpointed(
+            &w,
+            horizon,
+            &FaultPlan::default(),
+            opts,
+            &mut MemorySink::new(),
+            Some(&state),
+            1,
+            &mut || false,
+            &mut |_, _| Ok(()),
+        )
+        .expect_err("resume must be refused");
+    match err {
+        SnapshotError::Mismatch(msg) => assert!(
+            msg.contains("plane source has 16 lanes, snapshot has 64"),
+            "{msg}"
+        ),
+        other => panic!("expected a typed mismatch, got {other:?}"),
+    }
 }
 
 #[test]

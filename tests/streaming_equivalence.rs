@@ -16,7 +16,9 @@ use rip_core::{
 };
 use rip_integration_tests::{source_for, trace_for};
 use rip_photonics::SplitPattern;
-use rip_traffic::{Packet, PacketSource, ReplaySource, TrafficMatrix};
+use rip_traffic::{
+    merge_streams, MergedSource, Packet, PacketSource, ReplaySource, StatefulSource, TrafficMatrix,
+};
 use rip_units::SimTime;
 
 fn report_json(r: &rip_core::SwitchReport) -> String {
@@ -182,6 +184,81 @@ fn plane_source_matches_faulted_split_including_drop_totals() {
 }
 
 #[test]
+fn pruned_plane_source_keeps_fibers_re_steered_mid_run() {
+    // Plane 1 goes down at 10 µs and comes back at 30 µs, and a
+    // wavelength is lost in between: while plane 1 is down its fibers
+    // are re-steered onto the survivors, so every surviving plane must
+    // keep those lanes (union over epochs) and still yield exactly the
+    // faulted batch split, drop totals included.
+    let cfg = RouterConfig::resilience_small();
+    let w = SpsWorkload::uniform(cfg.ribbons, 0.6, 23);
+    let horizon = SimTime::from_ns(40_000);
+    let down = FaultKind::PlaneDown { switch: 1 };
+    let lost = FaultKind::WavelengthLoss {
+        ribbon: 2,
+        lambda: 0,
+    };
+    let plan = FaultPlan::new()
+        .inject(SimTime::from_ns(10_000), down)
+        .inject(SimTime::from_ns(15_000), lost)
+        .recover(SimTime::from_ns(25_000), lost)
+        .recover(SimTime::from_ns(30_000), down);
+    plan.validate(&cfg).expect("plan valid");
+    let own = cfg.ribbons * cfg.alpha();
+    for pattern in [
+        SplitPattern::Sequential,
+        SplitPattern::Striped,
+        SplitPattern::PseudoRandom { seed: 5 },
+    ] {
+        let router = SpsRouter::new(cfg.clone(), pattern).expect("valid config");
+        let (per_switch, batch_drops, batch_bytes) =
+            router.split_traffic_faulted(&w, horizon, &plan);
+        let mut fe_drops = 0u64;
+        let mut fe_bytes = rip_units::DataSize::ZERO;
+        for (plane, batch) in per_switch.iter().enumerate() {
+            let healthy = router.plane_source(&w, horizon, &FaultPlan::default(), plane);
+            assert_eq!(
+                healthy.fibers().len(),
+                own,
+                "{pattern:?}: α fibers per ribbon"
+            );
+            for &(ribbon, fiber) in healthy.fibers() {
+                assert_eq!(router.front_end().split().switch_for(ribbon, fiber), plane);
+            }
+            let mut src = router.plane_source(&w, horizon, &plan, plane);
+            if plane == 1 {
+                assert_eq!(
+                    src.fibers().len(),
+                    own,
+                    "{pattern:?}: nothing re-steered onto the dead plane"
+                );
+            } else {
+                assert!(
+                    src.fibers().len() > own,
+                    "{pattern:?}: plane {plane} must keep the lanes re-steered onto it"
+                );
+            }
+            let mut streamed = Vec::new();
+            while let Some(p) = src.next_packet() {
+                streamed.push(p);
+            }
+            assert_eq!(
+                &streamed, batch,
+                "{pattern:?}: plane {plane} stream diverged from the faulted batch split"
+            );
+            fe_drops += src.front_end_dropped_packets();
+            fe_bytes += src.front_end_dropped();
+        }
+        assert!(
+            batch_drops > 0,
+            "{pattern:?}: the lost wavelength should drop something"
+        );
+        assert_eq!(fe_drops, batch_drops, "{pattern:?}");
+        assert_eq!(fe_bytes, batch_bytes, "{pattern:?}");
+    }
+}
+
+#[test]
 fn sps_streaming_run_matches_per_plane_batch_runs() {
     // The full router path (crossbeam threads fed by PlaneSource) must
     // equal running each plane's batch trace through the batch engine.
@@ -306,5 +383,68 @@ proptest! {
         streaming.run_source(source_for(&cfg, &tm, load, horizon, seed), deadline, &FaultPlan::default());
         let rs = streaming.into_report();
         prop_assert_eq!(report_json(&rb), report_json(&rs));
+    }
+}
+
+/// Lanes of packets with keys drawn from a tiny `(arrival, input, id)`
+/// space, so full key ties across lanes are the common case. Each lane
+/// is sorted by key; `output` and `size` tag the packet's lane and
+/// position so any reordering of tied packets is visible.
+fn tied_lanes(keys: Vec<Vec<(u64, usize, u64)>>) -> Vec<Vec<Packet>> {
+    keys.into_iter()
+        .enumerate()
+        .map(|(lane, mut ks)| {
+            ks.sort_unstable();
+            ks.into_iter()
+                .enumerate()
+                .map(|(pos, (at, input, id))| {
+                    Packet::new(
+                        id,
+                        input,
+                        lane,
+                        rip_units::DataSize::from_bytes(64 + pos as u64),
+                        SimTime::from_ns(at),
+                    )
+                })
+                .collect()
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The heap merge yields exactly `merge_streams`'s stable sort on
+    /// fully tied keys, and a snapshot taken after any number of pulls
+    /// — right after a yield, before the yielding lane is refilled —
+    /// resumes the identical tail on a fresh merge.
+    #[test]
+    fn merged_source_matches_merge_streams_on_full_ties_and_resumes_anywhere(
+        keys in prop::collection::vec(
+            prop::collection::vec((0u64..4, 0usize..2, 0u64..3), 0..8),
+            1..6,
+        ),
+    ) {
+        let lanes = tied_lanes(keys);
+        let expected = merge_streams(lanes.clone());
+        let fresh = || MergedSource::new(lanes.iter().map(|l| ReplaySource::new(l)).collect());
+        let merged: Vec<Packet> = fresh().packets().collect();
+        prop_assert_eq!(&merged, &expected);
+        for cut in 0..=expected.len() {
+            let mut live = fresh();
+            for p in &expected[..cut] {
+                prop_assert_eq!(live.next_packet(), Some(*p));
+            }
+            let json = serde_json::to_string(&live.save_state()).expect("state serializes");
+            let mut resumed = fresh();
+            resumed
+                .restore_state(&serde_json::from_str(&json).expect("state parses"))
+                .expect("state restores");
+            let tail: Vec<Packet> = resumed.packets().collect();
+            prop_assert_eq!(&tail[..], &expected[cut..]);
+            // The snapshotted merge itself continues identically too.
+            let live_tail: Vec<Packet> = live.packets().collect();
+            prop_assert_eq!(live_tail, tail);
+        }
     }
 }
