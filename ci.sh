@@ -19,6 +19,22 @@ echo "==> perfbench tests (conservation checks, traced == untraced digests)"
 # must fail here, not only in the benchmark pipeline.
 cargo test --release -q --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench golden digests (seed 42, every workload)"
+# A short run of each benchmark workload: the last stdout line is a JSON
+# summary whose "correct" is false when a run's report digest differs
+# from perfbench/golden.json, so a simulated-output change fails here.
+for workload in ref-uniform hotspot-live sps-uniform; do
+  summary="$(python3 perfbench/run.py --workload "$workload" --seconds 1 --trace 0 | tail -n 1)" \
+    || summary="run.py exited nonzero"
+  python3 -c 'import json, sys
+try:
+    r = json.loads(sys.argv[1])
+except ValueError:
+    sys.exit(1)
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' "$summary" \
+    || { echo "perfbench $workload: digest mismatch or failed run: $summary"; exit 1; }
+done
+
 echo "==> bench smoke (schema check, live epoch streaming on)"
 bench_dir="$(mktemp -d)"
 trap 'rm -rf "$bench_dir"' EXIT

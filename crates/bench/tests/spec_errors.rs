@@ -56,27 +56,35 @@ fn ripsim(spec: &Value, name: &str) -> Output {
         .expect("ripsim runs")
 }
 
+/// `ripsim` on the quickstart spec with `router.<field> = value` must
+/// fail with `expected` on stderr and exit status 1, never a panic.
+fn assert_typed_rejection(field: &str, value: &str, expected: ConfigError) {
+    let spec = mutated_quickstart(field, value);
+    assert_eq!(router_of(&spec).validate(), Err(expected.clone()));
+    let out = ripsim(&spec, &format!("{field}_zero.json"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{field} = 0: {stderr}");
+    assert!(
+        !stderr.contains("panicked"),
+        "{field} = 0 panicked: {stderr}"
+    );
+    assert!(
+        stderr.contains(&expected.to_string()),
+        "{field} = 0 printed {stderr:?}, not the typed error"
+    );
+}
+
 #[test]
 fn zero_gamma_and_zero_segment_are_typed_errors_not_panics() {
-    let cases = [
-        ("gamma", "0", ConfigError::GammaZero),
-        ("segment", r#"{"bits": 0}"#, ConfigError::SegmentZero),
-    ];
-    for (field, value, expected) in cases {
-        let spec = mutated_quickstart(field, value);
-        assert_eq!(router_of(&spec).validate(), Err(expected.clone()));
-        let out = ripsim(&spec, &format!("{field}_zero.json"));
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{field} = 0: {stderr}");
-        assert!(
-            !stderr.contains("panicked"),
-            "{field} = 0 panicked: {stderr}"
-        );
-        assert!(
-            stderr.contains(&expected.to_string()),
-            "{field} = 0 printed {stderr:?}, not the typed error"
-        );
-    }
+    assert_typed_rejection("gamma", "0", ConfigError::GammaZero);
+    assert_typed_rejection("segment", r#"{"bits": 0}"#, ConfigError::SegmentZero);
+}
+
+#[test]
+fn zero_stripe_is_a_typed_error_not_a_panic() {
+    // A zero stripe empties the frame, which used to panic deriving the
+    // per-output region size.
+    assert_typed_rejection("stripe_channels", "0", ConfigError::StripeZero);
 }
 
 #[test]

@@ -7,7 +7,7 @@ use std::collections::VecDeque;
 use rip_sim::VecPool;
 use rip_traffic::{FlowKey, Packet};
 use rip_units::{DataSize, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// Sentinel egress-lane tag: the output port hashes the flow itself.
 pub const NO_LANE: u32 = u32::MAX;
@@ -64,6 +64,13 @@ impl Batch {
     pub fn size(&self) -> DataSize {
         self.payload() + self.padding
     }
+
+    /// Payload bytes of a batch formed at batch size `k`, in O(1): every
+    /// batch a [`BatchAssembler`] forms has `payload + padding == k`.
+    pub fn payload_in(&self, k: DataSize) -> DataSize {
+        debug_assert_eq!(self.size(), k, "batch was not formed at size k");
+        k - self.padding
+    }
 }
 
 /// Per-output VOQ state inside one input port.
@@ -81,11 +88,46 @@ struct Voq {
 /// The batch assembler of one input port: N per-output VOQs feeding
 /// fixed-size batches, with packet straddling and optional padded
 /// flushes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Serializes as `{input, batch_size, voqs}`; the running total is
+/// derived from the VOQs, so it is recomputed on deserialization.
+#[derive(Debug, Clone)]
 pub struct BatchAssembler {
     input: usize,
     batch_size: DataSize,
     voqs: Vec<Voq>,
+    /// Sum of every VOQ's `queued` bytes.
+    total_queued: DataSize,
+}
+
+/// The serialized fields of a [`BatchAssembler`].
+#[derive(Deserialize)]
+struct AssemblerState {
+    input: usize,
+    batch_size: DataSize,
+    voqs: Vec<Voq>,
+}
+
+impl Serialize for BatchAssembler {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("input".into(), self.input.to_value()),
+            ("batch_size".into(), self.batch_size.to_value()),
+            ("voqs".into(), self.voqs.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for BatchAssembler {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let s = AssemblerState::from_value(v)?;
+        Ok(BatchAssembler {
+            input: s.input,
+            batch_size: s.batch_size,
+            total_queued: s.voqs.iter().map(|q| q.queued).sum(),
+            voqs: s.voqs,
+        })
+    }
 }
 
 impl BatchAssembler {
@@ -100,6 +142,7 @@ impl BatchAssembler {
             input,
             batch_size,
             voqs: vec![Voq::default(); outputs],
+            total_queued: DataSize::ZERO,
         }
     }
 
@@ -110,7 +153,7 @@ impl BatchAssembler {
 
     /// Total bytes queued across all outputs.
     pub fn total_queued(&self) -> DataSize {
-        self.voqs.iter().map(|v| v.queued).sum()
+        self.total_queued
     }
 
     /// Enqueue a packet and return any batches completed by it
@@ -149,6 +192,7 @@ impl BatchAssembler {
         voq.pending
             .push_back((p.id, 0, p.size, p.arrival, p.flow, lane));
         voq.queued += p.size;
+        self.total_queued += p.size;
         while self.voqs[p.output].queued >= self.batch_size {
             let b = self.form_batch(p.output, false, pool);
             out.push(b);
@@ -202,6 +246,8 @@ impl BatchAssembler {
                 voq.pending.front_mut().expect("nonempty").1 = offset + take.bytes();
             }
         }
+        self.total_queued -= k - remaining;
+        debug_assert!(chunks.iter().map(|c| c.len).sum::<DataSize>() + remaining == k);
         let seq = voq.next_seq;
         voq.next_seq += 1;
         Batch {
@@ -284,6 +330,29 @@ mod tests {
         assert!(a.push(&pkt(3, 0, 100)).len() == 1);
         assert_eq!(a.queued(1), DataSize::from_bytes(1000));
         assert_eq!(a.total_queued(), DataSize::from_bytes(76 + 1000));
+    }
+
+    #[test]
+    fn serde_round_trip_keeps_the_field_layout_and_recomputes_the_total() {
+        let mut a = asm();
+        a.push(&pkt(1, 0, 1000));
+        a.push(&pkt(2, 3, 700));
+        a.push(&pkt(3, 0, 300));
+        let v = a.to_value();
+        let keys: Vec<&str> = v
+            .as_object()
+            .expect("object")
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, ["input", "batch_size", "voqs"]);
+        let back = BatchAssembler::from_value(&v).expect("round trip");
+        assert_eq!(back.total_queued(), a.total_queued());
+        assert_eq!(
+            back.total_queued(),
+            DataSize::from_bytes(1000 + 700 + 300 - 1024)
+        );
+        assert_eq!(back.to_value(), v);
     }
 
     #[test]

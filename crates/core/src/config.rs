@@ -404,6 +404,9 @@ impl RouterConfig {
         if self.segment.is_zero() {
             return Err(ConfigError::SegmentZero);
         }
+        if self.stripe_channels == Some(0) {
+            return Err(ConfigError::StripeZero);
+        }
         self.hbm_geometry.validate().map_err(ConfigError::Hbm)?;
         self.hbm_timing.validate().map_err(ConfigError::Hbm)?;
         if !(1.0..=4.0).contains(&self.speedup) {

@@ -43,6 +43,9 @@ pub enum ConfigError {
     /// S, the PFI segment size, is zero (the frame `K = γ·T·S` would be
     /// empty).
     SegmentZero,
+    /// T', the PFI channel stripe, is zero (the frame `K = γ·T'·S`
+    /// would be empty).
+    StripeZero,
     /// The head SRAM budget is zero frames.
     NoHeadFrames,
     /// A per-output HBM region cannot hold even two frames.
@@ -120,6 +123,12 @@ impl fmt::Display for ConfigError {
                 write!(f, "gamma (banks per interleaving group) must be positive")
             }
             ConfigError::SegmentZero => write!(f, "PFI segment size must be positive"),
+            ConfigError::StripeZero => {
+                write!(
+                    f,
+                    "stripe_channels (the PFI channel stripe) must be positive"
+                )
+            }
             ConfigError::NoHeadFrames => {
                 write!(f, "head SRAM must hold at least one frame")
             }

@@ -25,7 +25,7 @@ use crate::error::ConfigError;
 use crate::output::{OutputPort, PacketDeparture};
 use crate::resilience::{FaultAction, FaultEvent, FaultKind, FaultPlan};
 use crate::shard_engine::{ArrivalFx, FlushFx, ShardEngine, ShardParams, ShardStream, ShardTuning};
-use crate::sram::{Frame, HeadSram, TailSram};
+use crate::sram::{Frame, HeadSram, HeadSramState, TailSram, TailSramState};
 
 /// Observable milestones recorded by the optional switch trace
 /// ([`HbmSwitch::enable_trace`]) — the simulator's pcap.
@@ -317,9 +317,9 @@ struct SwitchState {
     assemblers: Vec<BatchAssembler>,
     input_xbar_free: Vec<SimTime>,
     flush_pending: Vec<Vec<bool>>,
-    tail: TailSram,
+    tail: TailSramState,
     hbm_frames: Vec<VecDeque<(Frame, SimTime)>>,
-    head: HeadSram,
+    head: HeadSramState,
     pending_to_head: Vec<usize>,
     outputs: Vec<OutputPort>,
     drain_scheduled: Vec<bool>,
@@ -568,9 +568,9 @@ impl HbmSwitch {
             assemblers: (0..n).map(|i| BatchAssembler::new(i, n, k)).collect(),
             input_xbar_free: vec![SimTime::ZERO; n],
             flush_pending: vec![vec![false; n]; n],
-            tail: TailSram::new(n, cfg.batches_per_frame()),
+            tail: TailSram::new(n, cfg.batch_size(), cfg.batches_per_frame()),
             hbm_frames: vec![VecDeque::new(); n],
-            head: HeadSram::new(n, cfg.head_frames),
+            head: HeadSram::new(n, cfg.batch_size(), cfg.head_frames),
             pending_to_head: vec![0; n],
             outputs: (0..n)
                 .map(|o| {
@@ -1051,8 +1051,10 @@ impl HbmSwitch {
         }
         // Frame fill efficiency: payload actually carried vs. the fixed
         // frame capacity the HBM write pays for.
-        self.metrics
-            .inc("switch.frame.payload_bytes", frame.payload().bytes());
+        self.metrics.inc(
+            "switch.frame.payload_bytes",
+            frame.payload_in(self.cfg.batch_size()).bytes(),
+        );
         self.metrics
             .inc("switch.frame.capacity_bytes", self.cfg.frame_size().bytes());
         self.metrics.inc("switch.frames.written", 1);
@@ -1321,7 +1323,7 @@ impl HbmSwitch {
             if !self.pfi.can_accept_frame(&self.group, o) {
                 // Per-output HBM region full: the frame is lost.
                 self.dropped_frames += 1;
-                self.dropped_bytes += frame.payload();
+                self.dropped_bytes += frame.payload_in(self.cfg.batch_size());
                 for batch in &frame.batches {
                     for c in &batch.chunks {
                         if self.dropped_ids.insert(c.packet) {
@@ -1431,7 +1433,7 @@ impl HbmSwitch {
     fn on_drain(&mut self, q: &mut impl EventSink<Ev>, now: SimTime, o: usize) {
         match self.head.pop_batch(o) {
             Some(batch) => {
-                let payload = batch.payload();
+                let payload = batch.payload_in(self.cfg.batch_size());
                 let (end, deps) = self.outputs[o].drain_batch(&batch, now);
                 if let Some(ct) = self.chrome.as_mut() {
                     ct.frame_span(o, FRAME_LANE_DRAIN, "drain", now, end);
@@ -1974,9 +1976,9 @@ impl HbmSwitch {
             assemblers: self.assemblers.clone(),
             input_xbar_free: self.input_xbar_free.clone(),
             flush_pending: self.flush_pending.clone(),
-            tail: self.tail.clone(),
+            tail: self.tail.state(),
             hbm_frames: self.hbm_frames.clone(),
-            head: self.head.clone(),
+            head: self.head.state(),
             pending_to_head: self.pending_to_head.clone(),
             outputs: self.outputs.clone(),
             drain_scheduled: self.drain_scheduled.clone(),
@@ -2087,9 +2089,9 @@ impl HbmSwitch {
         self.assemblers = st.assemblers;
         self.input_xbar_free = st.input_xbar_free;
         self.flush_pending = st.flush_pending;
-        self.tail = st.tail;
+        self.tail = TailSram::from_state(self.cfg.batch_size(), st.tail);
         self.hbm_frames = st.hbm_frames;
-        self.head = st.head;
+        self.head = HeadSram::from_state(self.cfg.batch_size(), st.head);
         self.pending_to_head = st.pending_to_head;
         self.outputs = st.outputs;
         self.drain_scheduled = st.drain_scheduled;

@@ -146,7 +146,8 @@ impl OutputPort {
                 });
             }
         }
-        let payload = batch.payload();
+        // `pos` has advanced over every chunk: it is the batch payload.
+        let payload = pos;
         let end = start + self.rate.transfer_time(payload);
         self.busy_until = end;
         self.delivered += payload;

@@ -182,6 +182,47 @@ pub struct SustainedReport {
     pub max_refresh_gap: TimeDelta,
 }
 
+/// Banks refreshed per channel per frame op, at most.
+const REFRESH_PUMP_DEPTH: usize = 4;
+
+/// The [`REFRESH_PUMP_DEPTH`] smallest `(last_refresh, bank)` keys
+/// offered, ascending.
+#[derive(Default)]
+struct RefreshCandidates {
+    keys: [(SimTime, usize); REFRESH_PUMP_DEPTH],
+    len: usize,
+}
+
+impl RefreshCandidates {
+    /// Offer a key; it is kept if it is among the smallest.
+    fn insert(&mut self, key: (SimTime, usize)) {
+        if self.len == REFRESH_PUMP_DEPTH {
+            if key >= self.keys[REFRESH_PUMP_DEPTH - 1] {
+                return;
+            }
+            self.len -= 1; // the largest makes room
+        }
+        let mut i = self.len;
+        while i > 0 && self.keys[i - 1] > key {
+            self.keys[i] = self.keys[i - 1];
+            i -= 1;
+        }
+        self.keys[i] = key;
+        self.len += 1;
+    }
+
+    /// Remove and return the smallest key.
+    fn pop_first(&mut self) -> Option<(SimTime, usize)> {
+        if self.len == 0 {
+            return None;
+        }
+        let first = self.keys[0];
+        self.keys.copy_within(1..self.len, 0);
+        self.len -= 1;
+        Some(first)
+    }
+}
+
 /// The Parallel Frame Interleaving controller (§3.2 steps ➂ and ➃).
 ///
 /// ```
@@ -566,9 +607,17 @@ impl PfiController {
         }
     }
 
-    /// Refresh up to 4 due banks on `ch` at `now`, avoiding groups `h`
-    /// and `h+1` (imminently reusable) when more than 2 groups exist.
-    /// `ignore_exclusion` (storm mode) drops the group safeguard.
+    /// Refresh up to [`REFRESH_PUMP_DEPTH`] due banks on `ch` at `now`,
+    /// avoiding groups `h` and `h+1` (imminently reusable) when more
+    /// than 2 groups exist. `ignore_exclusion` (storm mode) drops the
+    /// group safeguard.
+    ///
+    /// Banks are refreshed most-starved first, ties to the lower index,
+    /// stopping at the first one not yet `due`. One scan suffices: it
+    /// keeps the smallest eligible `(last_refresh, bank)` keys, and a
+    /// refresh changes only the refreshed bank, so the later picks are
+    /// the next keys in that list. A refreshed bank stays eligible only
+    /// when tRFCsb is zero; it then re-enters the list under its new key.
     fn pump_refresh(
         ch: &mut crate::channel::Channel,
         now: SimTime,
@@ -585,18 +634,28 @@ impl PfiController {
             let g = bank / gamma;
             g == h || g == (h + 1) % num_groups
         };
-        for _ in 0..4 {
-            // Most refresh-starved eligible, currently idle bank.
-            let candidate = (0..ch.num_banks())
-                .filter(|&b| !excluded(b))
-                .filter(|&b| ch.bank(b).is_idle() && ch.bank(b).idle_at() <= now)
-                .min_by_key(|&b| ch.bank(b).last_refresh());
-            let Some(bank) = candidate else { break };
-            if now.saturating_since(ch.bank(bank).last_refresh()) < due {
+        let eligible = |ch: &crate::channel::Channel, b: usize| {
+            ch.bank(b).is_idle() && ch.bank(b).idle_at() <= now
+        };
+        // The smallest eligible keys, ascending.
+        let mut best = RefreshCandidates::default();
+        for b in 0..ch.num_banks() {
+            if !excluded(b) && eligible(ch, b) {
+                best.insert((ch.bank(b).last_refresh(), b));
+            }
+        }
+        for _ in 0..REFRESH_PUMP_DEPTH {
+            let Some((last, bank)) = best.pop_first() else {
+                break;
+            };
+            if now.saturating_since(last) < due {
                 break; // nothing due yet
             }
             ch.refresh_bank(now, bank)
                 .unwrap_or_else(|e| panic!("PFI REFsb schedule bug: {e}"));
+            if eligible(ch, bank) {
+                best.insert((ch.bank(bank).last_refresh(), bank));
+            }
         }
     }
 
@@ -1700,5 +1759,109 @@ mod tests {
         );
         // Device health is unaffected — the storm is a controller fault.
         assert_eq!(storm.effective_peak, storm.peak);
+    }
+
+    /// The repeated-scan refresh pump: up to four times, pick the most
+    /// refresh-starved eligible idle bank by a fresh scan. The oracle
+    /// the one-pass [`PfiController::pump_refresh`] must equal.
+    fn pump_refresh_rescan(
+        ch: &mut crate::channel::Channel,
+        now: SimTime,
+        h: usize,
+        gamma: usize,
+        num_groups: usize,
+        due: TimeDelta,
+        ignore_exclusion: bool,
+    ) {
+        let excluded = |bank: usize| {
+            if ignore_exclusion || num_groups <= 2 {
+                return false;
+            }
+            let g = bank / gamma;
+            g == h || g == (h + 1) % num_groups
+        };
+        for _ in 0..4 {
+            let candidate = (0..ch.num_banks())
+                .filter(|&b| !excluded(b))
+                .filter(|&b| ch.bank(b).is_idle() && ch.bank(b).idle_at() <= now)
+                .min_by_key(|&b| ch.bank(b).last_refresh());
+            let Some(bank) = candidate else { break };
+            if now.saturating_since(ch.bank(bank).last_refresh()) < due {
+                break;
+            }
+            ch.refresh_bank(now, bank)
+                .unwrap_or_else(|e| panic!("PFI REFsb schedule bug: {e}"));
+        }
+    }
+
+    /// A channel of `setup.len()` banks in the states `setup` names:
+    /// `(0, _)` untouched, `(1, slot)` refreshed at `slot × 100 ns`,
+    /// `(2, slot)` refreshed there and then holding an open row. Shared
+    /// slots force `last_refresh` ties.
+    fn channel_in_state(rfc: TimeDelta, setup: &[(u8, u64)]) -> crate::channel::Channel {
+        let timing = HbmTiming {
+            t_rfc_sb: rfc,
+            ..HbmTiming::hbm4()
+        };
+        let mut ch = crate::channel::Channel::new(timing, DataRate::from_gbps(640), setup.len());
+        for (b, &(kind, slot)) in setup.iter().enumerate() {
+            if kind > 0 {
+                ch.refresh_bank(SimTime::from_ns(slot * 100), b)
+                    .expect("fresh bank is idle");
+            }
+        }
+        for (b, &(kind, _)) in setup.iter().enumerate() {
+            if kind == 2 {
+                let t = ch.earliest_activate(b);
+                ch.activate(t, b, 0).expect("earliest ACT is legal");
+            }
+        }
+        ch.set_record_commands(true);
+        ch
+    }
+
+    #[test]
+    fn refresh_pump_takes_the_most_starved_first_and_breaks_ties_low() {
+        // Banks 1 and 3 tie oldest (100 ns), then bank 0 (200 ns), bank 4
+        // (300 ns) and bank 2 (400 ns).
+        let setup = [(1, 2), (1, 1), (1, 4), (1, 1), (1, 3)];
+        let mut ch = channel_in_state(TimeDelta::from_ns(120), &setup);
+        let now = SimTime::from_ns(700);
+        PfiController::pump_refresh(&mut ch, now, 0, 1, 5, TimeDelta::from_ns(450), true);
+        let order: Vec<usize> = ch.commands().iter().map(|c| c.bank).collect();
+        // Bank 4, refreshed 400 ns ago, is the first one not yet due.
+        assert_eq!(order, [1, 3, 0]);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn one_pass_refresh_pump_matches_the_repeated_scan(
+            num_groups in 1usize..6,
+            gamma in 1usize..4,
+            h_pick in 0usize..8,
+            setup in proptest::collection::vec((0u8..3, 0u64..6), 15),
+            now_ns in 0u64..800,
+            rfc_ns in proptest::sample::select(vec![0u64, 60, 120]),
+            due_ns in proptest::sample::select(vec![0u64, 100, 250, 500]),
+            ignore_exclusion in proptest::prelude::any::<bool>(),
+        ) {
+            let banks = num_groups * gamma;
+            let h = h_pick % num_groups;
+            let now = SimTime::from_ns(now_ns);
+            let due = TimeDelta::from_ns(due_ns);
+            let base = channel_in_state(TimeDelta::from_ns(rfc_ns), &setup[..banks]);
+            let mut one_pass = base.clone();
+            let mut rescan = base;
+            PfiController::pump_refresh(&mut one_pass, now, h, gamma, num_groups, due, ignore_exclusion);
+            pump_refresh_rescan(&mut rescan, now, h, gamma, num_groups, due, ignore_exclusion);
+            proptest::prop_assert_eq!(one_pass.commands(), rescan.commands());
+            for b in 0..banks {
+                let (x, y) = (one_pass.bank(b), rescan.bank(b));
+                proptest::prop_assert_eq!(
+                    (x.last_refresh(), x.idle_at(), x.is_idle()),
+                    (y.last_refresh(), y.idle_at(), y.is_idle())
+                );
+            }
+        }
     }
 }

@@ -40,7 +40,23 @@ pub fn permutation(n: usize, seed: u64, stream: u64) -> Vec<usize> {
 /// Sample an index from a discrete (unnormalized, non-negative) weight
 /// vector. Returns `None` if all weights are zero or the slice is empty.
 pub fn weighted_index<R: Rng>(rng: &mut R, weights: &[f64]) -> Option<usize> {
-    let total: f64 = weights.iter().sum();
+    weighted_index_with_total(rng, weights, weights.iter().sum())
+}
+
+/// [`weighted_index`] with the weight total supplied by the caller, for
+/// repeated draws from one fixed weight vector. `total` must be
+/// `weights.iter().sum()` (the same summation order), which makes the
+/// draw identical to [`weighted_index`]'s.
+pub fn weighted_index_with_total<R: Rng>(
+    rng: &mut R,
+    weights: &[f64],
+    total: f64,
+) -> Option<usize> {
+    debug_assert_eq!(
+        total.to_bits(),
+        weights.iter().sum::<f64>().to_bits(),
+        "stale weight total"
+    );
     // NaN totals (from NaN weights) fall through to None as well.
     if total.partial_cmp(&0.0) != Some(core::cmp::Ordering::Greater) {
         return None;

@@ -2,7 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use rip_sim::rng::{exp_ps, rng_for, weighted_index};
+use rip_sim::rng::{exp_ps, rng_for, weighted_index_with_total};
 use rip_units::{DataRate, SimTime, TimeDelta};
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -39,6 +39,8 @@ pub struct PacketGenerator {
     line_rate: DataRate,
     load: f64,
     dest_weights: Vec<f64>,
+    /// `dest_weights.iter().sum()`, fixed at construction.
+    dest_total: f64,
     sizes: SizeDistribution,
     process: ArrivalProcess,
     flows: Vec<FlowKey>,
@@ -92,6 +94,7 @@ impl PacketGenerator {
             input,
             line_rate,
             load,
+            dest_total: dest_weights.iter().sum(),
             dest_weights,
             sizes,
             process,
@@ -126,7 +129,6 @@ impl PacketGenerator {
             return None;
         }
         let size = self.sizes.sample(&mut self.rng);
-        let wire_time = self.line_rate.transfer_time(size);
         let mean_gap = self.mean_gap_ps(size.bytes_f64());
         let gap = match self.process {
             ArrivalProcess::Poisson => TimeDelta::from_ps(exp_ps(&mut self.rng, mean_gap)),
@@ -143,12 +145,12 @@ impl PacketGenerator {
                 } else {
                     // Back-to-back at line rate within the burst.
                     self.burst_left -= 1;
-                    wire_time
+                    self.line_rate.transfer_time(size)
                 }
             }
         };
         self.clock += gap;
-        let output = weighted_index(&mut self.rng, &self.dest_weights)
+        let output = weighted_index_with_total(&mut self.rng, &self.dest_weights, self.dest_total)
             .expect("weights validated at construction");
         let flow_idx = self.rng.random_range(0..self.flows.len());
         let id = self.next_id;

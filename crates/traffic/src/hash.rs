@@ -19,16 +19,33 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// CRC-32C (Castagnoli) of a byte string, bitwise implementation.
+/// Reflected CRC-32C (Castagnoli) polynomial, 0x1EDC6F41 bit-reversed.
+const CRC32C_POLY: u32 = 0x82F6_3B78;
+
+/// Byte-at-a-time CRC-32C lookup table: entry `i` is the register after
+/// shifting byte `i` through eight bitwise polynomial steps.
+const CRC32C_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC32C_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
+/// CRC-32C (Castagnoli) of a byte string, table-driven (one lookup per
+/// byte).
 pub fn crc32c(bytes: &[u8]) -> u32 {
-    const POLY: u32 = 0x82F6_3B78; // reflected 0x1EDC6F41
     let mut crc: u32 = !0;
     for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (POLY & mask);
-        }
+        crc = (crc >> 8) ^ CRC32C_TABLE[((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -71,6 +88,21 @@ pub fn fiber_wavelength_for(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The bitwise CRC-32C: eight polynomial steps per byte. The oracle
+    /// the table-driven [`crc32c`] must equal.
+    fn crc32c_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = !0;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC32C_POLY & mask);
+            }
+        }
+        !crc
+    }
 
     fn flow(i: u32) -> FlowKey {
         FlowKey {
@@ -87,6 +119,16 @@ mod tests {
         // RFC 3720 test vector: CRC-32C of "123456789" = 0xE3069283.
         assert_eq!(crc32c(b"123456789"), 0xE306_9283);
         assert_eq!(crc32c(b""), 0);
+        assert_eq!(crc32c_bitwise(b"123456789"), 0xE306_9283);
+    }
+
+    proptest! {
+        #[test]
+        fn table_crc32c_equals_the_bitwise_oracle(
+            bytes in proptest::collection::vec(any::<u8>(), 0..64)
+        ) {
+            prop_assert_eq!(crc32c(&bytes), crc32c_bitwise(&bytes));
+        }
     }
 
     #[test]

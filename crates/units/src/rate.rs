@@ -80,6 +80,12 @@ impl DataRate {
             return TimeDelta::ZERO;
         }
         assert!(self.bps > 0, "cannot transfer data at zero rate");
+        // Every size below ~2.3 MB keeps `bits × 10¹²` inside u64, where
+        // the division is much cheaper; larger sizes take the u128 path.
+        // Both compute the same exact ceiling.
+        if let Some(num) = size.bits().checked_mul(PS_PER_S) {
+            return TimeDelta::from_ps(num.div_ceil(self.bps));
+        }
         let num = size.bits() as u128 * PS_PER_S as u128;
         let den = self.bps as u128;
         let ps = num.div_ceil(den);
@@ -216,6 +222,28 @@ mod tests {
         let r = DataRate::from_bps(3);
         let t = r.transfer_time(DataSize::from_bits(1));
         assert_eq!(t.as_ps(), 333_333_333_334);
+    }
+
+    #[test]
+    fn u64_fast_path_and_u128_path_agree_at_the_boundary() {
+        // The largest bit count whose `bits × 10¹²` fits u64 takes the
+        // fast path; one more bit takes the u128 path. Both must match
+        // the exact ceiling computed independently in u128.
+        let edge = u64::MAX / PS_PER_S;
+        for bps in [1u64, 3, 7, 640_000_000_000, 2_560_000_000_000, u64::MAX] {
+            let r = DataRate::from_bps(bps);
+            for bits in [1, 8, 12_000, edge - 1, edge, edge + 1, edge * 2 + 5] {
+                let exact = (bits as u128 * PS_PER_S as u128).div_ceil(bps as u128);
+                let Ok(exact) = u64::try_from(exact) else {
+                    continue;
+                };
+                assert_eq!(
+                    r.transfer_time(DataSize::from_bits(bits)).as_ps(),
+                    exact,
+                    "bits {bits} at {bps} b/s"
+                );
+            }
+        }
     }
 
     #[test]
