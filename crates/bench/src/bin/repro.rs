@@ -14,13 +14,6 @@
 //! throughput run also streams per-plane epoch deltas and sampled
 //! packet-lifecycle spans to `BENCH_sps_epochs.jsonl`.
 //!
-//! `repro parallel-speed [--quick]` measures the sharded switch engine
-//! (2 and 4 input-stage worker shards) against the sequential oracle on
-//! the soak configuration, asserts byte-identical reports, and writes
-//! `BENCH_parallel_speed.json` (stable schema; records
-//! `cores_available` so single-core measurements are never mistaken for
-//! multi-core scaling).
-//!
 //! `repro kernel-speed [--quick]` measures the timing-wheel event
 //! kernel against the retained binary-heap oracle — an end-to-end
 //! same-seed soak pair (byte-identical reports asserted) plus a
@@ -48,8 +41,9 @@
 //!
 //! `repro profile-overhead [--quick]` measures the self-profiler's
 //! wall-clock cost: interleaved same-seed soak runs with the phase
-//! profiler off and on (hub recording to its in-memory ring), min-wall
-//! per arm, asserting the report and the live epoch stream stay
+//! profiler off and on (hub recording to its in-memory ring), min wall
+//! per telemetry epoch per arm, asserting the report and the live epoch
+//! stream stay
 //! byte-identical either way, then writes
 //! `BENCH_profile_overhead.json` and exits non-zero if the overhead
 //! reaches 3%.
@@ -65,12 +59,11 @@ use rip_baselines::{
     DesignPoint, LoadBalancedRouter, MeshFabric, ParallelPacketSwitch, SprayingHbmSwitch,
 };
 use rip_bench::{
-    delay_mean_p99_us, f, fmt_us, switch_trace, uniform_port_sources, uniform_source,
-    uniform_trace, version_line, Table,
+    delay_mean_p99_us, f, fmt_us, switch_trace, uniform_source, uniform_trace, version_line, Table,
 };
 use rip_core::{
-    DrainPolicy, EngineKind, FaultPlan, HbmSwitch, LiveOptions, MimicChecker, RouterConfig,
-    SpsRouter, SpsWorkload,
+    DrainPolicy, FaultPlan, HbmSwitch, LiveOptions, MimicChecker, RouterConfig, SpsRouter,
+    SpsWorkload,
 };
 use rip_hbm::{
     AccessPattern, Direction, HbmGeometry, HbmGroup, HbmTiming, OpenPageController, PfiConfig,
@@ -112,11 +105,6 @@ fn main() {
     if args.first().map(String::as_str) == Some("kernel-speed") {
         let quick = args.iter().any(|a| a == "--quick");
         run_kernel_speed(quick);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("parallel-speed") {
-        let quick = args.iter().any(|a| a == "--quick");
-        run_parallel_speed(quick);
         return;
     }
     if args.first().map(String::as_str) == Some("soak") {
@@ -1676,145 +1664,6 @@ fn run_kernel_speed(quick: bool) {
 }
 
 // --------------------------------------------------------------------
-// `repro parallel-speed` — sharded engine vs sequential oracle
-// --------------------------------------------------------------------
-
-/// `BENCH_parallel_speed.json`: wall-clock of the sharded switch engine
-/// (2 and 4 input-stage worker shards) against the sequential oracle on
-/// the soak configuration. The `*_wall_ms`, `*_per_sec` and `speedup_*`
-/// fields are wall-clock measurements; every simulated quantity is
-/// byte-identical across engines by construction — the run asserts it
-/// before quoting any number. `cores_available` records the parallelism
-/// the measuring host actually offered: on a single hardware thread the
-/// shards time-slice one core and the speedup columns measure pure
-/// coordination overhead, not the multi-core scaling the engine exists
-/// for (see EXPERIMENTS.md E28 for the projection).
-#[derive(serde::Serialize)]
-struct ParallelSpeedBench {
-    schema: &'static str,
-    config: &'static str,
-    seed: u64,
-    load: f64,
-    horizon_ns: u64,
-    cores_available: u64,
-    offered_packets: u64,
-    delivered_packets: u64,
-    sequential_wall_ms: f64,
-    sharded2_wall_ms: f64,
-    sharded4_wall_ms: f64,
-    sequential_packets_per_sec: f64,
-    sharded2_packets_per_sec: f64,
-    sharded4_packets_per_sec: f64,
-    speedup_sharded2: f64,
-    speedup_sharded4: f64,
-}
-
-/// One end-to-end run under `engine`; returns the serialized report
-/// (for the byte-identity assert) and the min-of-`reps` wall clock of
-/// the engine itself (source construction excluded, worker spawn and
-/// join included — they are part of the engine's cost).
-fn parallel_speed_run(
-    cfg: &RouterConfig,
-    load: f64,
-    horizon: SimTime,
-    seed: u64,
-    engine: EngineKind,
-    reps: u32,
-) -> (rip_core::SwitchReport, String, f64) {
-    let mut cfg = cfg.clone();
-    cfg.engine = engine;
-    let mut best_ms = f64::INFINITY;
-    let mut report = None;
-    for _ in 0..reps {
-        let ports = uniform_port_sources(&cfg, load, horizon, seed);
-        let mut sw = HbmSwitch::new(cfg.clone()).expect("valid config");
-        let t0 = std::time::Instant::now();
-        sw.run_ports(ports, cfg.drain.deadline(horizon), &FaultPlan::default());
-        best_ms = best_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        report = Some(sw.into_report());
-    }
-    let report = report.expect("at least one rep");
-    let json = serde_json::to_string(&report).expect("report serializes");
-    (report, json, best_ms)
-}
-
-fn run_parallel_speed(quick: bool) {
-    println!("Petabit Router-in-a-Package — sharded-engine speed benchmark");
-    println!("mode: {}", if quick { "quick" } else { "full" });
-    let cfg = RouterConfig::small();
-    let seed = 42u64;
-    let load = 0.8;
-    let horizon = SimTime::from_ns(if quick { 8_000 } else { 20_000 });
-    let reps = 3;
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get() as u64)
-        .unwrap_or(1);
-
-    let (report, seq_json, seq_ms) =
-        parallel_speed_run(&cfg, load, horizon, seed, EngineKind::Sequential, reps);
-    let (_, s2_json, s2_ms) = parallel_speed_run(
-        &cfg,
-        load,
-        horizon,
-        seed,
-        EngineKind::Sharded { shards: 2 },
-        reps,
-    );
-    let (_, s4_json, s4_ms) = parallel_speed_run(
-        &cfg,
-        load,
-        horizon,
-        seed,
-        EngineKind::Sharded { shards: 4 },
-        reps,
-    );
-    assert_eq!(
-        seq_json, s2_json,
-        "parallel-speed runs diverged: Sharded(2) vs Sequential"
-    );
-    assert_eq!(
-        seq_json, s4_json,
-        "parallel-speed runs diverged: Sharded(4) vs Sequential"
-    );
-    let offered = report.offered_packets;
-    assert!(offered > 0, "parallel-speed run offered no packets");
-
-    let bench = ParallelSpeedBench {
-        schema: "rip-bench/parallel_speed/v1",
-        config: "small",
-        seed,
-        load,
-        horizon_ns: horizon.as_ps() / 1000,
-        cores_available: cores,
-        offered_packets: offered,
-        delivered_packets: report.delivered_packets,
-        sequential_wall_ms: seq_ms,
-        sharded2_wall_ms: s2_ms,
-        sharded4_wall_ms: s4_ms,
-        sequential_packets_per_sec: offered as f64 / (seq_ms / 1e3),
-        sharded2_packets_per_sec: offered as f64 / (s2_ms / 1e3),
-        sharded4_packets_per_sec: offered as f64 / (s4_ms / 1e3),
-        speedup_sharded2: seq_ms / s2_ms,
-        speedup_sharded4: seq_ms / s4_ms,
-    };
-    write_json("BENCH_parallel_speed.json", &bench);
-    println!(
-        "end-to-end ({cores} core(s) available): sequential {seq_ms:.1} ms, \
-         2 shards {s2_ms:.1} ms ({:.2}x), 4 shards {s4_ms:.1} ms ({:.2}x), \
-         reports byte-identical",
-        seq_ms / s2_ms,
-        seq_ms / s4_ms
-    );
-    if cores < 4 {
-        println!(
-            "note: fewer cores than shards — the ratios above measure coordination \
-             overhead under time-slicing, not multi-core scaling (see EXPERIMENTS.md E28)"
-        );
-    }
-    println!("\ndone.");
-}
-
-// --------------------------------------------------------------------
 // `repro soak` — self-asserting long-horizon streaming check
 // --------------------------------------------------------------------
 
@@ -2101,8 +1950,9 @@ fn run_fleet(quick: bool) {
 // --------------------------------------------------------------------
 
 /// `BENCH_profile_overhead.json` (E30): wall-clock cost of the phase
-/// profiler on the streaming soak workload. `wall_off_ms`,
-/// `wall_on_ms` and `overhead_frac` are the measurement (the only
+/// profiler on the streaming soak workload. `wall_off_ms` and
+/// `wall_on_ms` (each arm's per-epoch wall-clock minima over the reps,
+/// summed) and `overhead_frac` are the measurement (the only
 /// non-deterministic fields); `byte_identical` records the assertion
 /// the run makes before writing anything — the switch report and the
 /// live epoch stream are byte-for-byte the same with the profiler off
@@ -2124,10 +1974,24 @@ struct ProfileOverheadBench {
     profile_records: u64,
 }
 
+/// Stamps the wall clock at every epoch record, so a run's wall time
+/// splits into per-epoch laps at the same simulated instants in every
+/// run of the same seed.
+struct EpochStamps(std::sync::Arc<std::sync::Mutex<Vec<std::time::Instant>>>);
+
+impl rip_telemetry::TelemetrySink for EpochStamps {
+    fn on_epoch(&mut self, _: &str, _: u64, _: &rip_telemetry::EpochDelta) {
+        self.0
+            .lock()
+            .expect("stamp list is never poisoned")
+            .push(std::time::Instant::now());
+    }
+}
+
 /// One live-telemetry soak run, profiler optionally attached; returns
 /// the serialized report, the replayed epoch/span stream bytes (the
 /// deterministic surfaces the byte-identity assert compares), and the
-/// wall clock of the event loop itself.
+/// event loop's wall clock split into per-epoch laps (ms).
 fn profile_overhead_run(
     cfg: &RouterConfig,
     load: f64,
@@ -2135,17 +1999,28 @@ fn profile_overhead_run(
     seed: u64,
     period: TimeDelta,
     hub: Option<&rip_telemetry::ProfileHub>,
-) -> (String, Vec<u8>, f64) {
+) -> (String, Vec<u8>, Vec<f64>) {
     let src = uniform_source(cfg, load, horizon, seed);
     let mut sw = HbmSwitch::new(cfg.clone()).expect("valid config");
     if let Some(h) = hub {
         sw.enable_profiler(h.clone());
     }
     let staged = rip_telemetry::SharedSink::new();
-    sw.enable_live_telemetry(period, 64, Box::new(staged.clone()));
+    let stamps = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    let mut sinks = rip_telemetry::FanoutSink::new();
+    sinks.push(Box::new(staged.clone()));
+    sinks.push(Box::new(EpochStamps(stamps.clone())));
+    sw.enable_live_telemetry(period, 64, Box::new(sinks));
     let t0 = std::time::Instant::now();
     sw.run_source(src, cfg.drain.deadline(horizon), &FaultPlan::default());
-    let ms = t0.elapsed().as_secs_f64() * 1e3;
+    let end = std::time::Instant::now();
+    let mut marks = vec![t0];
+    marks.extend(stamps.lock().expect("stamp list is never poisoned").iter());
+    marks.push(end);
+    let laps = marks
+        .windows(2)
+        .map(|w| (w[1] - w[0]).as_secs_f64() * 1e3)
+        .collect();
     let report = sw.into_report();
     let json = serde_json::to_string(&report).expect("report serializes");
     let mut stream = Vec::new();
@@ -2154,7 +2029,7 @@ fn profile_overhead_run(
         staged.take().replay_into(&mut sink);
         sink.flush();
     }
-    (json, stream, ms)
+    (json, stream, laps)
 }
 
 fn run_profile_overhead(quick: bool) {
@@ -2163,9 +2038,17 @@ fn run_profile_overhead(quick: bool) {
     let cfg = RouterConfig::small();
     let seed = 0x0F11;
     let load = 0.8;
-    let horizon = SimTime::from_ns(if quick { 20_000 } else { 60_000 });
+    // Each arm's min must land on quiet stretches of the host, or the
+    // difference is host noise, not profiler cost. On a shared 2-vCPU
+    // host whole runs switch between a fast mode and one ~60% slower
+    // that lasts hundreds of ms. Whole-run minima of 5 reps at a 20 us
+    // horizon (~10 ms arms) swung by ±20% between invocations, and of
+    // 60 reps still read above 3% in 5 of 12. Taking the min per
+    // telemetry epoch (~0.6 ms of wall) over 60 interleaved reps lets
+    // each epoch find its own quiet rep.
+    let horizon = SimTime::from_ns(if quick { 40_000 } else { 100_000 });
     let period = TimeDelta::from_ns(2_000);
-    let reps: u64 = 5;
+    let reps: u64 = 60;
 
     // The profiled arm's hub records into its in-memory ring only: the
     // cost under measurement is the phase timers and the per-epoch
@@ -2173,23 +2056,47 @@ fn run_profile_overhead(quick: bool) {
     // and the soak path pays off the hot loop).
     let hub = rip_telemetry::ProfileHub::new();
 
-    // Interleave the arms and keep the min of each: back-to-back
-    // blocks of reps pick up machine drift that dwarfs the timer cost.
-    let mut off_ms = f64::INFINITY;
-    let mut on_ms = f64::INFINITY;
+    // Interleave the arms and keep the min of each, epoch by epoch:
+    // back-to-back blocks of reps pick up machine drift that dwarfs the
+    // timer cost. The arm that goes first alternates per rep, so
+    // neither arm always pays (or dodges) the warm-up of the pair.
+    let mut off_laps: Vec<f64> = Vec::new();
+    let mut on_laps: Vec<f64> = Vec::new();
     let mut baseline: Option<(String, Vec<u8>)> = None;
     let mut identical = true;
-    for _ in 0..reps {
-        let (r_off, s_off, ms) = profile_overhead_run(&cfg, load, horizon, seed, period, None);
-        off_ms = off_ms.min(ms);
-        let (r_on, s_on, ms) = profile_overhead_run(&cfg, load, horizon, seed, period, Some(&hub));
-        on_ms = on_ms.min(ms);
-        identical &= r_off == r_on && s_off == s_on;
-        match &baseline {
-            Some((bj, bs)) => identical &= *bj == r_off && *bs == s_off,
-            None => baseline = Some((r_off, s_off)),
-        }
+    for rep in 0..reps {
+        let mut arm = |profiled: bool| {
+            let hub = profiled.then_some(&hub);
+            let (report, stream, laps) =
+                profile_overhead_run(&cfg, load, horizon, seed, period, hub);
+            let best = if profiled {
+                &mut on_laps
+            } else {
+                &mut off_laps
+            };
+            if best.is_empty() {
+                *best = laps;
+            } else {
+                assert_eq!(
+                    best.len(),
+                    laps.len(),
+                    "same-seed runs close the same epochs"
+                );
+                for (b, l) in best.iter_mut().zip(laps) {
+                    *b = b.min(l);
+                }
+            }
+            match &baseline {
+                Some((bj, bs)) => identical &= *bj == report && *bs == stream,
+                None => baseline = Some((report, stream)),
+            }
+        };
+        let off_first = rep % 2 == 0;
+        arm(!off_first);
+        arm(off_first);
     }
+    let off_ms: f64 = off_laps.iter().sum();
+    let on_ms: f64 = on_laps.iter().sum();
     let profile_records = hub.records_total();
     let overhead = (on_ms - off_ms) / off_ms;
     if !identical {

@@ -30,8 +30,9 @@ pub struct Chunk {
     /// Pre-hashed egress lane (`fiber * wavelengths + wavelength`), or
     /// [`NO_LANE`] to hash at the output port. Real routers resolve the
     /// ECMP/LAG lane once at ingress lookup and carry it in packet
-    /// metadata; the sharded engine does the same (memoized per flow on
-    /// the shard), while the sequential oracle keeps hashing at egress.
+    /// metadata; [`BatchAssembler::push_tagged`] carries such a tag,
+    /// while [`BatchAssembler::push_into`] leaves it unset and the
+    /// switch hashes at egress.
     /// The tag is pure plumbing: both paths evaluate the identical hash
     /// function, so reports never depend on which one ran.
     pub lane: u32,
@@ -149,6 +150,16 @@ impl BatchAssembler {
     /// Bytes queued for `output` (not yet emitted in a batch).
     pub fn queued(&self, output: usize) -> DataSize {
         self.voqs[output].queued
+    }
+
+    /// The input port this assembler serves.
+    pub(crate) fn input(&self) -> usize {
+        self.input
+    }
+
+    /// Number of output VOQs.
+    pub(crate) fn outputs(&self) -> usize {
+        self.voqs.len()
     }
 
     /// Total bytes queued across all outputs.

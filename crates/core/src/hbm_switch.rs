@@ -7,24 +7,22 @@ use std::collections::{HashSet, VecDeque};
 use rip_hbm::{HbmCommandKind, HbmGroup, PfiController};
 use rip_sim::snapshot::SnapshotError;
 use rip_sim::stats::Histogram;
-use rip_sim::{
-    EventQueue, EventSink, Feeder, QueueKind, Series, ShardedEventQueue, TraceLog, VecPool,
-};
+use rip_sim::{EventQueue, QueueKind, Series, TraceLog, VecPool};
 use rip_telemetry::{
     prof_add, prof_lap, prof_now, prof_now_sampled, prof_renew, EngineProfiler, EpochClock,
     MetricsRegistry, Phase, ProfileHub, Snapshot, SpanEvent, TelemetrySink, TraceRecorder,
     TraceWindow, PID_FRAMES, PID_HBM,
 };
-use rip_traffic::{MergedSource, Packet, PacketSource, ReplaySource, StatefulSource};
+use rip_traffic::{Packet, PacketSource, ReplaySource, StatefulSource};
 use rip_units::{DataRate, DataSize, SimTime, TimeDelta};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::batch::{Batch, BatchAssembler, Chunk};
-use crate::config::{EngineKind, RouterConfig};
+use crate::config::RouterConfig;
 use crate::error::ConfigError;
+use crate::feeder::{FeederState, Lookahead};
 use crate::output::{OutputPort, PacketDeparture};
 use crate::resilience::{FaultAction, FaultEvent, FaultKind, FaultPlan};
-use crate::shard_engine::{ArrivalFx, FlushFx, ShardEngine, ShardParams, ShardStream, ShardTuning};
 use crate::sram::{Frame, HeadSram, HeadSramState, TailSram, TailSramState};
 
 /// Observable milestones recorded by the optional switch trace
@@ -177,6 +175,21 @@ enum Ev {
     Fault(FaultEvent),
 }
 
+impl Ev {
+    /// True if every port the event names is below `n` — the restore
+    /// check for events decoded from a snapshot.
+    fn ports_below(&self, n: usize) -> bool {
+        match self {
+            Ev::Arrival(p) => p.input < n && p.output < n,
+            Ev::BatchAtTail(b) => b.input < n && b.output < n,
+            Ev::FlushTimeout { input, output } => *input < n && *output < n,
+            Ev::FrameAtHead(f) => f.output < n,
+            Ev::Drain(o) => *o < n,
+            Ev::ArrivalsDone | Ev::ReadTurn | Ev::Fault(_) => true,
+        }
+    }
+}
+
 /// How a checkpointed run ([`HbmSwitch::run_source_checkpointed`])
 /// ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,105 +202,6 @@ pub enum RunOutcome {
     /// snapshot was persisted and the run returned early. Resume it
     /// with the persisted state to continue byte-identically.
     Interrupted,
-}
-
-/// A checkpointable clone of [`Feeder`]'s single-item lookahead,
-/// holding the source by value so its position can be saved alongside
-/// the buffered packet. Semantics (fill-on-demand, the non-decreasing
-/// assert, and the `pulled` source-progress counter) mirror [`Feeder`]
-/// exactly — the streaming-equivalence argument in
-/// [`HbmSwitch::run_source`] carries over unchanged.
-struct CkptFeeder<S> {
-    source: S,
-    buf: Option<(SimTime, Packet)>,
-    source_done: bool,
-    last_pulled: SimTime,
-    pulled: u64,
-}
-
-impl<S: PacketSource> CkptFeeder<S> {
-    fn new(source: S) -> Self {
-        CkptFeeder {
-            source,
-            buf: None,
-            source_done: false,
-            last_pulled: SimTime::ZERO,
-            pulled: 0,
-        }
-    }
-
-    fn fill(&mut self) {
-        if self.buf.is_none() && !self.source_done {
-            match self.source.next_packet() {
-                Some(p) => {
-                    assert!(
-                        p.arrival >= self.last_pulled,
-                        "source must yield non-decreasing times"
-                    );
-                    self.last_pulled = p.arrival;
-                    self.pulled += 1;
-                    self.buf = Some((p.arrival, p));
-                }
-                None => self.source_done = true,
-            }
-        }
-    }
-
-    fn peek_time(&mut self) -> Option<SimTime> {
-        self.fill();
-        self.buf.map(|(t, _)| t)
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, Packet)> {
-        self.fill();
-        self.buf.take()
-    }
-
-    fn is_exhausted(&mut self) -> bool {
-        self.fill();
-        self.source_done && self.buf.is_none()
-    }
-
-    fn pulled(&self) -> u64 {
-        self.pulled
-    }
-}
-
-impl<S: PacketSource + StatefulSource> CkptFeeder<S> {
-    fn save(&self) -> FeederState {
-        FeederState {
-            buf: self.buf,
-            source_done: self.source_done,
-            last_pulled: self.last_pulled,
-            pulled: self.pulled,
-            source: self.source.save_state(),
-        }
-    }
-
-    /// Rebuild from a snapshot: rewind `source` to its saved position,
-    /// then overwrite the lookahead so the already-pulled packet is not
-    /// pulled twice.
-    fn restore(mut source: S, st: &FeederState) -> Result<Self, DeError> {
-        source.restore_state(&st.source)?;
-        Ok(CkptFeeder {
-            source,
-            buf: st.buf,
-            source_done: st.source_done,
-            last_pulled: st.last_pulled,
-            pulled: st.pulled,
-        })
-    }
-}
-
-/// Serialized [`CkptFeeder`]: the lookahead packet plus the source's
-/// own position (via [`StatefulSource`]).
-#[derive(Serialize, Deserialize)]
-struct FeederState {
-    buf: Option<(SimTime, Packet)>,
-    source_done: bool,
-    last_pulled: SimTime,
-    pulled: u64,
-    source: Value,
 }
 
 /// Serialized [`LiveTelemetry`] minus the sink (the resuming run
@@ -525,35 +439,11 @@ pub struct HbmSwitch {
     /// chunk storage here when drained or dropped, so steady-state
     /// batch formation allocates nothing.
     chunk_pool: VecPool<Chunk>,
-    /// Sharded-engine mirror of each input's total VOQ occupancy,
-    /// replayed from boundary effects (the assemblers themselves live
-    /// on the shard workers). `None` outside a sharded run; the
-    /// shutdown check reads it in place of `self.assemblers`.
-    queued_mirror: Option<Vec<DataSize>>,
     /// Wall-clock self-profiler (`None` = off; the run loops then never
     /// read the monotonic clock). Profile records travel on the hub's
     /// own stream and never touch reports, telemetry, traces or
     /// checkpoints — profiled runs are byte-identical to silent ones.
     prof: Option<EngineProfiler>,
-}
-
-/// Routes the core's internally scheduled events onto the sharded
-/// queue: the strictly periodic `ReadTurn` stream feeds a monotone
-/// calendar lane, everything else the kernel wheel/heap. Sequence
-/// numbers are assigned globally either way, so the pop order is
-/// identical to the sequential engine's.
-struct LaneRouter<'a> {
-    q: &'a mut ShardedEventQueue<Ev>,
-    read_lane: usize,
-}
-
-impl EventSink<Ev> for LaneRouter<'_> {
-    fn schedule(&mut self, time: SimTime, event: Ev) {
-        match event {
-            Ev::ReadTurn => self.q.schedule_lane(self.read_lane, time, event),
-            ev => self.q.schedule(time, ev),
-        }
-    }
 }
 
 impl HbmSwitch {
@@ -625,7 +515,6 @@ impl HbmSwitch {
                 .collect(),
             batch_scratch: Vec::new(),
             chunk_pool: VecPool::default(),
-            queued_mirror: None,
             prof: None,
             group,
             pfi,
@@ -636,9 +525,8 @@ impl HbmSwitch {
     /// Attach the wall-clock self-profiler: the run loops lap a
     /// monotonic clock across kernel pops, dispatch phases and
     /// telemetry export, flushing one record per telemetry epoch into
-    /// `hub` under source `engine` (shard workers join the same hub as
-    /// `shardNN`). Profiling never alters simulation state or any
-    /// deterministic output surface.
+    /// `hub` under source `engine`. Profiling never alters simulation
+    /// state or any deterministic output surface.
     pub fn enable_profiler(&mut self, hub: ProfileHub) {
         self.enable_profiler_as(hub, "engine");
     }
@@ -834,16 +722,21 @@ impl HbmSwitch {
         self.live.as_ref().map_or(0, |l| l.spans_emitted)
     }
 
-    /// Flush every epoch whose boundary is at or before the next event
-    /// time `t` (an event exactly at a boundary belongs to the next
-    /// epoch). `pulled` is the feeder's source-progress counter.
+    /// True if the next event at `t` crosses an epoch boundary (an
+    /// event exactly at a boundary belongs to the next epoch).
     ///
-    /// Called before every event dispatch, so the no-flush case must be
-    /// one integer compare: `live_boundary_ps` caches the next boundary
-    /// and is `u64::MAX` whenever live telemetry is off or finished.
+    /// Checked before every event dispatch, so it must be one integer
+    /// compare: `live_boundary_ps` caches the next boundary and is
+    /// `u64::MAX` whenever live telemetry is off or finished.
     #[inline]
+    fn live_epoch_due(&self, t: SimTime) -> bool {
+        t.as_ps() >= self.live_boundary_ps
+    }
+
+    /// Flush every epoch whose boundary is at or before the next event
+    /// time `t`. `pulled` is the feeder's source-progress counter.
     fn live_flush_epochs(&mut self, t: SimTime, pulled: u64) {
-        while t.as_ps() >= self.live_boundary_ps {
+        while self.live_epoch_due(t) {
             self.live_flush_one(pulled);
         }
     }
@@ -1025,7 +918,7 @@ impl HbmSwitch {
         self.cfg.hbm_peak().transfer_time(self.cfg.frame_size())
     }
 
-    fn send_batch(&mut self, q: &mut impl EventSink<Ev>, now: SimTime, batch: Batch) {
+    fn send_batch(&mut self, q: &mut EventQueue<Ev>, now: SimTime, batch: Batch) {
         let i = batch.input;
         let dt = self.batch_time();
         let t0 = now.max(self.input_xbar_free[i]);
@@ -1103,7 +996,7 @@ impl HbmSwitch {
         self.last_roll = self.last_roll.max(now);
     }
 
-    fn on_fault(&mut self, q: &mut impl EventSink<Ev>, now: SimTime, f: FaultEvent) {
+    fn on_fault(&mut self, q: &mut EventQueue<Ev>, now: SimTime, f: FaultEvent) {
         if f.kind.is_photonic() {
             return; // front-end scope; applied by the SPS layer
         }
@@ -1164,12 +1057,7 @@ impl HbmSwitch {
     fn system_empty(&self) -> bool {
         self.arrivals_done
             && self.batches_in_flight == 0
-            && match &self.queued_mirror {
-                // Sharded run: the assemblers live on the shard workers;
-                // the replayed occupancy mirror is the authority.
-                Some(m) => m.iter().all(|q| q.is_zero()),
-                None => self.assemblers.iter().all(|a| a.total_queued().is_zero()),
-            }
+            && self.assemblers.iter().all(|a| a.total_queued().is_zero())
             && self.tail.occupancy().bytes.is_zero()
             && (0..self.cfg.ribbons).all(|o| {
                 self.pfi.frames_buffered(o) == 0
@@ -1179,7 +1067,7 @@ impl HbmSwitch {
             })
     }
 
-    fn handle(&mut self, q: &mut impl EventSink<Ev>, now: SimTime, ev: Ev) {
+    fn handle(&mut self, q: &mut EventQueue<Ev>, now: SimTime, ev: Ev) {
         match ev {
             Ev::Arrival(p) => self.on_arrival(q, now, p),
             Ev::ArrivalsDone => self.arrivals_done = true,
@@ -1220,7 +1108,7 @@ impl HbmSwitch {
         }
     }
 
-    fn on_arrival(&mut self, q: &mut impl EventSink<Ev>, now: SimTime, p: Packet) {
+    fn on_arrival(&mut self, q: &mut EventQueue<Ev>, now: SimTime, p: Packet) {
         self.offered_packets += 1;
         self.offered_bytes += p.size;
         self.first_arrival.get_or_insert(now);
@@ -1347,7 +1235,7 @@ impl HbmSwitch {
         }
     }
 
-    fn on_read_turn(&mut self, q: &mut impl EventSink<Ev>, now: SimTime) {
+    fn on_read_turn(&mut self, q: &mut EventQueue<Ev>, now: SimTime) {
         let o = self.read_cursor;
         self.read_cursor = (self.read_cursor + 1) % self.cfg.ribbons;
         let room = self.head.frames_buffered(o) + self.pending_to_head[o] < self.cfg.head_frames;
@@ -1430,7 +1318,7 @@ impl HbmSwitch {
         }
     }
 
-    fn on_drain(&mut self, q: &mut impl EventSink<Ev>, now: SimTime, o: usize) {
+    fn on_drain(&mut self, q: &mut EventQueue<Ev>, now: SimTime, o: usize) {
         match self.head.pop_batch(o) {
             Some(batch) => {
                 let payload = batch.payload_in(self.cfg.batch_size());
@@ -1543,10 +1431,10 @@ impl HbmSwitch {
     /// pre-scheduled arrivals is that, at any instant `t`, arrivals pop
     /// before every other event at `t` (they were scheduled first, so
     /// they hold the lowest tie-break sequence numbers). This loop
-    /// reproduces that order with a one-packet [`Feeder`] lookahead:
-    /// the pending arrival is dispatched whenever its time is `<=` the
-    /// queue's next event time, and static faults are scheduled before
-    /// the initial `ReadTurn` just as the batch path orders them. The
+    /// reproduces that order with a one-packet lookahead: the pending
+    /// arrival is dispatched whenever its time is `<=` the queue's next
+    /// event time, and static faults are scheduled before the initial
+    /// `ReadTurn` just as the batch path orders them. The
     /// `arrivals_done` flag (batch: an `ArrivalsDone` event at the last
     /// arrival time) is set as soon as the source is exhausted; the
     /// flag is only read by the read engine's shutdown check, which in
@@ -1556,26 +1444,57 @@ impl HbmSwitch {
     /// Does not consume the switch — inspect traces/series afterwards,
     /// then call [`HbmSwitch::report`] or [`HbmSwitch::into_report`].
     pub fn run_source<S: PacketSource>(&mut self, source: S, horizon: SimTime, plan: &FaultPlan) {
-        let mut source = source;
-        let mut q: EventQueue<Ev> = EventQueue::with_kind(self.queue_kind);
+        let mut q = self.start_queue(plan);
+        let mut feeder = Lookahead::new(source);
+        self.run_loop(&mut q, &mut feeder, horizon, |_, _, _| Ok(false))
+            .expect("a boundary hook that never fails cannot fail the run");
+    }
+
+    /// A fresh event queue holding a run's initial events: the
+    /// switch-scope faults of `plan`, then the first read turn.
+    fn start_queue(&self, plan: &FaultPlan) -> EventQueue<Ev> {
+        let mut q = EventQueue::with_kind(self.queue_kind);
         for ev in plan.events() {
             if !ev.kind.is_photonic() {
                 q.schedule(ev.at, Ev::Fault(*ev));
             }
         }
         q.schedule(SimTime::ZERO, Ev::ReadTurn);
-        let mut feeder = Feeder::new(|| source.next_packet().map(|p| (p.arrival, p)));
+        q
+    }
+
+    /// The one event loop behind [`HbmSwitch::run_source`] and
+    /// [`HbmSwitch::run_source_checkpointed`]. After every telemetry
+    /// epoch flush — the loop's idempotent point, before the next
+    /// dispatch — it calls `on_boundary`, which may snapshot the run and
+    /// returns `Ok(true)` to stop it there ([`RunOutcome::Interrupted`],
+    /// without the terminal records). Runs without live telemetry never
+    /// flush, so the hook never runs.
+    fn run_loop<S, B>(
+        &mut self,
+        q: &mut EventQueue<Ev>,
+        feeder: &mut Lookahead<S>,
+        horizon: SimTime,
+        mut on_boundary: B,
+    ) -> Result<RunOutcome, SnapshotError>
+    where
+        S: PacketSource,
+        B: FnMut(&mut Self, &EventQueue<Ev>, &Lookahead<S>) -> Result<bool, SnapshotError>,
+    {
         loop {
             if feeder.is_exhausted() {
                 self.arrivals_done = true;
             }
-            // Lap structure when the profiler is attached: peeks and
-            // pops are `KernelPop`, the epoch flush self-attributes to
-            // `TelemetryExport` inside `live_flush_one`, and the
-            // dispatch is attributed by event kind. Laps chain without
-            // overlap, so summed phase time stays below wall time; the
-            // lap starters are 1-in-64 sampled (see `prof_now_sampled`)
-            // to keep the per-event clock cost inside the <3% budget.
+            // Lap structure when the profiler is attached: peek and pop
+            // are one `KernelPop` lap, the dispatch is attributed by
+            // event kind. At an epoch boundary the peek lap closes
+            // first, the flush self-attributes to `TelemetryExport`
+            // inside `live_flush_one` and a checkpoint to
+            // `CheckpointSave` inside the hook, and the pop lap restarts
+            // after them. Laps chain without overlap, so summed phase
+            // time stays below wall time; the lap starters are sampled
+            // 1-in-`SAMPLE_STRIDE` (see `prof_now_sampled`) to keep the
+            // per-event clock cost inside the <3% budget.
             let mut t0 = prof_now_sampled(&mut self.prof);
             let take_arrival = match (feeder.peek_time(), q.peek_time()) {
                 (Some(a), Some(t)) => a <= t,
@@ -1583,357 +1502,41 @@ impl HbmSwitch {
                 (None, Some(_)) => false,
                 (None, None) => break,
             };
-            if take_arrival {
-                let at = feeder.peek_time().expect("peeked");
-                if at > horizon {
-                    break;
-                }
-                prof_lap(&mut self.prof, Phase::KernelPop, &mut t0);
-                self.live_flush_epochs(at, feeder.pulled());
-                let mut t0 = prof_renew(t0);
-                let (_, p) = feeder.pop().expect("peeked");
-                prof_lap(&mut self.prof, Phase::KernelPop, &mut t0);
-                self.handle(&mut q, at, Ev::Arrival(p));
-                prof_add(&mut self.prof, Phase::BatchAssembly, t0);
+            let t = if take_arrival {
+                feeder.peek_time()
             } else {
-                let t = q.peek_time().expect("peeked");
-                if t > horizon {
-                    break;
-                }
+                q.peek_time()
+            }
+            .expect("peeked");
+            if t > horizon {
+                break;
+            }
+            if self.live_epoch_due(t) {
                 prof_lap(&mut self.prof, Phase::KernelPop, &mut t0);
                 self.live_flush_epochs(t, feeder.pulled());
-                let mut t0 = prof_renew(t0);
+                if on_boundary(self, q, feeder)? {
+                    self.prof_finish();
+                    return Ok(RunOutcome::Interrupted);
+                }
+                t0 = prof_renew(t0);
+            }
+            if take_arrival {
+                let (_, p) = feeder.pop().expect("peeked");
+                prof_lap(&mut self.prof, Phase::KernelPop, &mut t0);
+                self.handle(q, t, Ev::Arrival(p));
+                prof_add(&mut self.prof, Phase::BatchAssembly, t0);
+            } else {
                 let (now, ev) = q.pop().expect("peeked");
                 prof_lap(&mut self.prof, Phase::KernelPop, &mut t0);
                 let phase = Self::phase_of(&ev);
-                self.handle(&mut q, now, ev);
+                self.handle(q, now, ev);
                 prof_add(&mut self.prof, phase, t0);
             }
         }
         self.roll_capacity(self.last_departure);
-        let pulled = feeder.pulled();
-        drop(feeder);
-        self.live_finish(pulled);
+        self.live_finish(feeder.pulled());
         self.prof_finish();
-    }
-
-    /// Run per-port packet sources through the engine selected by
-    /// [`RouterConfig`]'s `engine` field: [`EngineKind::Sequential`]
-    /// merges the ports and runs [`HbmSwitch::run_source`] (bit-for-bit
-    /// the classic path), [`EngineKind::Sharded`] partitions the ports
-    /// over worker threads running [`ShardEngine`]s and replays their
-    /// boundary effects in the serial core. Both engines produce
-    /// byte-identical reports, traces and telemetry for the same ports
-    /// and seed — the sequential engine is the differential oracle the
-    /// equivalence suite holds the sharded one to.
-    pub fn run_ports<S: PacketSource + Send>(
-        &mut self,
-        ports: Vec<S>,
-        horizon: SimTime,
-        plan: &FaultPlan,
-    ) {
-        self.run_ports_tuned(ports, horizon, plan, ShardTuning::default());
-    }
-
-    /// [`HbmSwitch::run_ports`] with explicit conservative-window
-    /// tuning for the sharded engine. Any tuning is byte-identical to
-    /// any other (the equivalence proptest randomizes it); the knobs
-    /// only trade messaging overhead against shard run-ahead. Ignored
-    /// by the sequential engine.
-    pub fn run_ports_tuned<S: PacketSource + Send>(
-        &mut self,
-        ports: Vec<S>,
-        horizon: SimTime,
-        plan: &FaultPlan,
-        tuning: ShardTuning,
-    ) {
-        match self.cfg.engine {
-            EngineKind::Sequential => self.run_source(MergedSource::new(ports), horizon, plan),
-            EngineKind::Sharded { shards } => {
-                self.run_sharded(ports, shards, horizon, plan, tuning.sanitized())
-            }
-        }
-    }
-
-    fn shard_params(&self, tuning: ShardTuning) -> ShardParams {
-        ShardParams {
-            ribbons: self.cfg.ribbons,
-            batch_size: self.cfg.batch_size(),
-            input_queue_limit: self.cfg.input_queue_limit,
-            batch_timeout_batches: self.cfg.batch_timeout_batches,
-            batch_time: self.batch_time(),
-            fibers: self.cfg.alpha(),
-            wavelengths: self.cfg.wavelengths,
-            window: self.cfg.hbm_timing.lookahead_bound() * tuning.window_mult,
-            block_events: tuning.block_events,
-        }
-    }
-
-    /// The sharded engine: partition the ports round-robin over worker
-    /// threads, each simulating its slice of the input stage ahead of
-    /// the core under conservative-window synchronization, and replay
-    /// their timestamped boundary effects in the exact global
-    /// `(time, seq)` order the sequential engine realizes.
-    fn run_sharded<S: PacketSource + Send>(
-        &mut self,
-        ports: Vec<S>,
-        shards: usize,
-        horizon: SimTime,
-        plan: &FaultPlan,
-        tuning: ShardTuning,
-    ) {
-        assert!(shards > 0, "EngineKind::validate admits only 1..=ribbons");
-        let shards = shards.min(ports.len().max(1));
-        let params = self.shard_params(tuning);
-        let mut buckets: Vec<Vec<S>> = (0..shards).map(|_| Vec::new()).collect();
-        for (i, s) in ports.into_iter().enumerate() {
-            buckets[i % shards].push(s);
-        }
-        let profiling = self.prof.is_some();
-        crossbeam::thread::scope(|scope| {
-            let mut streams = Vec::with_capacity(shards);
-            for (s, bucket) in buckets.into_iter().enumerate() {
-                let (tx, rx) = std::sync::mpsc::sync_channel(tuning.channel_blocks);
-                // Shard workers join the engine's hub under their own
-                // source names, flushing one record per shard run.
-                let shard_prof = self
-                    .prof
-                    .as_ref()
-                    .map(|p| EngineProfiler::new(p.hub().clone(), &format!("shard{s:02}")));
-                let engine = ShardEngine::new(params, bucket).with_profiler(shard_prof);
-                scope.spawn(move |_| engine.run(tx));
-                streams.push(ShardStream::new(rx).timed(profiling));
-            }
-            self.run_sharded_core(streams, horizon, plan);
-        })
-        .expect("shard worker panicked");
-    }
-
-    /// The serial core of the sharded engine. Mirrors
-    /// [`HbmSwitch::run_source`] exactly — same loop structure, same
-    /// arrival-first tie rule, same feeder-progress accounting — except
-    /// arrivals come from the k-way merge of shard effect streams and
-    /// `Arrival`/`FlushTimeout` consequences are replayed from the
-    /// shard-computed effects instead of recomputed.
-    fn run_sharded_core(
-        &mut self,
-        mut streams: Vec<ShardStream>,
-        horizon: SimTime,
-        plan: &FaultPlan,
-    ) {
-        let n = self.cfg.ribbons;
-        let shards = streams.len();
-        // Lane layout: `0..n` per-input BatchAtTail calendars (each
-        // input's crossbar dispatch times are strictly increasing),
-        // `n` the flush calendar (fire = arm + constant), `n + 1` the
-        // strictly periodic read turns. Everything else (drains,
-        // frame-at-head, faults) keeps the kernel wheel/heap.
-        let read_lane = n + 1;
-        let mut q: ShardedEventQueue<Ev> = ShardedEventQueue::new(self.queue_kind, n + 2);
-        for ev in plan.events() {
-            if !ev.kind.is_photonic() {
-                q.schedule(ev.at, Ev::Fault(*ev));
-            }
-        }
-        q.schedule_lane(read_lane, SimTime::ZERO, Ev::ReadTurn);
-        self.queued_mirror = Some(vec![DataSize::ZERO; n]);
-        let mut dispatched: u64 = 0;
-        let mut pulled: u64;
-        loop {
-            // Same lap structure (and 1-in-64 lap sampling) as
-            // `run_source`, with two extra phases: blocked `recv` time
-            // accumulates inside the streams (summed below as
-            // `ChannelRecv`) and shard-effect replay is `SerialReplay`.
-            let mut t0 = prof_now_sampled(&mut self.prof);
-            let next = Self::peek_min_arrival(&mut streams);
-            if next.is_none() {
-                self.arrivals_done = true;
-            }
-            // Feeder-progress mirror: the sequential feeder holds one
-            // lookahead packet whenever the merged stream has more.
-            pulled = dispatched + u64::from(next.is_some());
-            let take_arrival = match (next.map(|(t, _)| t), q.peek_time()) {
-                (Some(a), Some(t)) => a <= t,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if take_arrival {
-                let (at, s) = next.expect("peeked");
-                if at > horizon {
-                    break;
-                }
-                prof_lap(&mut self.prof, Phase::KernelPop, &mut t0);
-                self.live_flush_epochs(at, pulled);
-                let mut t0 = prof_renew(t0);
-                let fx = streams[s].pop_arrival();
-                dispatched += 1;
-                prof_lap(&mut self.prof, Phase::KernelPop, &mut t0);
-                self.apply_arrival(&mut q, at, fx);
-                prof_add(&mut self.prof, Phase::SerialReplay, t0);
-            } else {
-                let t = q.peek_time().expect("peeked");
-                if t > horizon {
-                    break;
-                }
-                prof_lap(&mut self.prof, Phase::KernelPop, &mut t0);
-                self.live_flush_epochs(t, pulled);
-                let mut t0 = prof_renew(t0);
-                let (now, ev) = q.pop().expect("peeked");
-                prof_lap(&mut self.prof, Phase::KernelPop, &mut t0);
-                match ev {
-                    Ev::FlushTimeout { input, output } => {
-                        let fx = streams[input % shards]
-                            .next_flush()
-                            .expect("armed flush must have a boundary effect");
-                        assert!(
-                            fx.input == input && fx.output == output && fx.fire == now,
-                            "flush replay out of order: event ({input},{output})@{now} \
-                             vs effect ({},{})@{}",
-                            fx.input,
-                            fx.output,
-                            fx.fire
-                        );
-                        self.apply_flush(&mut q, fx);
-                        prof_add(&mut self.prof, Phase::SerialReplay, t0);
-                    }
-                    ev => {
-                        let phase = Self::phase_of(&ev);
-                        let mut sink = LaneRouter {
-                            q: &mut q,
-                            read_lane,
-                        };
-                        self.handle(&mut sink, now, ev);
-                        prof_add(&mut self.prof, phase, t0);
-                    }
-                }
-            }
-        }
-        self.roll_capacity(self.last_departure);
-        if self.prof.is_some() {
-            let (recv_ns, recv_blocks) = streams.iter().fold((0u64, 0u64), |(ns, n), s| {
-                (ns + s.recv_wait_ns(), n + s.recv_waits())
-            });
-            if let Some(p) = self.prof.as_mut() {
-                p.acc_mut()
-                    .add_ns_n(Phase::ChannelRecv, recv_ns, recv_blocks);
-            }
-        }
-        drop(streams);
-        self.queued_mirror = None;
-        self.live_finish(pulled);
-        self.prof_finish();
-    }
-
-    /// The earliest undispatched arrival across the shard streams, by
-    /// the same strict `(arrival, input, id)` key [`MergedSource`]
-    /// merges with — a two-level merge under one total order yields the
-    /// sequential engine's global arrival order.
-    fn peek_min_arrival(streams: &mut [ShardStream]) -> Option<(SimTime, usize)> {
-        let mut best: Option<((SimTime, usize, u64), usize)> = None;
-        for (s, stream) in streams.iter_mut().enumerate() {
-            if let Some(fx) = stream.peek_arrival() {
-                let key = (fx.p.arrival, fx.p.input, fx.p.id);
-                if best.as_ref().is_none_or(|(b, _)| key < *b) {
-                    best = Some((key, s));
-                }
-            }
-        }
-        best.map(|((at, _, _), s)| (at, s))
-    }
-
-    /// Replay one arrival's boundary effect — statement-for-statement
-    /// the sequential `on_arrival`, with the assembler work replaced by
-    /// the shard's precomputed results and the drop classification
-    /// (fault vs congestion) applied here, where `active_faults` lives.
-    fn apply_arrival(&mut self, q: &mut ShardedEventQueue<Ev>, now: SimTime, fx: ArrivalFx) {
-        let ArrivalFx {
-            p,
-            admitted,
-            arm_flush,
-            batches,
-            queued_after,
-        } = fx;
-        self.offered_packets += 1;
-        self.offered_bytes += p.size;
-        self.first_arrival.get_or_insert(now);
-        if !admitted {
-            self.dropped_input += 1;
-            self.dropped_bytes += p.size;
-            self.dropped_ids.insert(p.id);
-            if self.active_faults > 0 {
-                self.dropped_packets_fault += 1;
-            } else {
-                self.dropped_packets_congestion += 1;
-            }
-            self.record(now, SwitchEvent::InputDrop { input: p.input });
-            if let Some(live) = self.live.as_mut() {
-                if live.samples_flow(&p.flow) {
-                    live.spans_emitted += 1;
-                    live.sink.on_span(
-                        LIVE_SOURCE,
-                        &SpanEvent {
-                            packet: p.id,
-                            stage: "input_drop",
-                            at: now,
-                            port: p.input,
-                        },
-                    );
-                }
-            }
-            return;
-        }
-        self.live_packets += 1;
-        self.peak_in_flight = self.peak_in_flight.max(self.live_packets);
-        if let Some(live) = self.live.as_mut() {
-            if live.samples_flow(&p.flow) {
-                live.sampled.insert(p.id);
-                live.spans_emitted += 1;
-                live.sink.on_span(
-                    LIVE_SOURCE,
-                    &SpanEvent {
-                        packet: p.id,
-                        stage: "arrival",
-                        at: now,
-                        port: p.input,
-                    },
-                );
-            }
-        }
-        if let Some(m) = self.queued_mirror.as_mut() {
-            m[p.input] = queued_after;
-        }
-        self.input_peak = self.input_peak.max(queued_after);
-        // Schedule order matches the sequential handler (flush timer
-        // before batch sends) so global sequence numbers line up.
-        if arm_flush {
-            let timeout = self.batch_time() * self.cfg.batch_timeout_batches;
-            q.schedule_lane(
-                self.cfg.ribbons,
-                now + timeout,
-                Ev::FlushTimeout {
-                    input: p.input,
-                    output: p.output,
-                },
-            );
-        }
-        for (at, b) in batches {
-            self.batches_in_flight += 1;
-            q.schedule_lane(p.input, at, Ev::BatchAtTail(b));
-        }
-    }
-
-    /// Replay one flush-timer effect — the sequential `FlushTimeout`
-    /// handler with the assembler flush replaced by the shard's result.
-    fn apply_flush(&mut self, q: &mut ShardedEventQueue<Ev>, fx: FlushFx) {
-        if let Some(m) = self.queued_mirror.as_mut() {
-            m[fx.input] = fx.queued_after;
-        }
-        if let Some((at, b)) = fx.batch {
-            self.padded_bytes += b.padding;
-            self.batches_in_flight += 1;
-            q.schedule_lane(fx.input, at, Ev::BatchAtTail(b));
-        }
+        Ok(RunOutcome::Completed)
     }
 
     /// Serialize the complete mid-run state (plus the pending event
@@ -2026,18 +1629,36 @@ impl HbmSwitch {
     /// Overwrite this (freshly built, same-config) switch with a
     /// snapshotted mid-run state, rebuild the event queue, and rewind
     /// `source` to the checkpointed position. The snapshot's config
-    /// echo must match `self.cfg` and the live-telemetry shape (period,
-    /// sampling rate, on/off) must match how this switch was set up —
-    /// anything else is a [`SnapshotError::Mismatch`].
+    /// echo must match `self.cfg`, every per-port part of the state must
+    /// be sized for the configured ports, and the live-telemetry shape
+    /// (period, sampling rate, on/off) must match how this switch was
+    /// set up — anything else is a [`SnapshotError::Mismatch`], raised
+    /// before any state is overwritten.
     fn restore_from<S: PacketSource + StatefulSource>(
         &mut self,
         st: SwitchState,
-        q: &mut EventQueue<Ev>,
         source: S,
-    ) -> Result<CkptFeeder<S>, SnapshotError> {
+    ) -> Result<(EventQueue<Ev>, Lookahead<S>), SnapshotError> {
         if self.cfg.to_value() != st.cfg {
             return Err(SnapshotError::Mismatch(
                 "router configuration differs from the checkpointed run".into(),
+            ));
+        }
+        self.check_shape(&st)?;
+        let q = EventQueue::from_entries_in(
+            self.queue_kind,
+            st.queue,
+            st.queue_next_seq,
+            st.queue_last_popped,
+        )?;
+        let feeder = Lookahead::restore(source, &st.feeder)
+            .map_err(|e| SnapshotError::Mismatch(format!("feeder state does not decode: {e}")))?;
+        if feeder
+            .buffered()
+            .is_some_and(|p| p.input >= self.cfg.ribbons || p.output >= self.cfg.ribbons)
+        {
+            return Err(SnapshotError::Mismatch(
+                "feeder lookahead packet names a port the router does not have".into(),
             ));
         }
         match (self.live.as_mut(), st.live) {
@@ -2127,41 +1748,56 @@ impl HbmSwitch {
         self.hbm_occupancy = st.hbm_occupancy;
         self.metrics = st.metrics;
         self.output_depth = st.output_depth;
-        *q = EventQueue::from_entries_in(
-            self.queue_kind,
-            st.queue,
-            st.queue_next_seq,
-            st.queue_last_popped,
-        );
-        CkptFeeder::restore(source, &st.feeder)
-            .map_err(|e| SnapshotError::Mismatch(format!("feeder state does not decode: {e}")))
+        Ok((q, feeder))
     }
 
-    /// Snapshot-if-due gate, called at the run loop's checkpoint point
-    /// (after the epoch flush, before the event dispatch). Returns
-    /// `Ok(true)` when the stop flag fired and a final snapshot was
-    /// persisted — the caller returns [`RunOutcome::Interrupted`].
-    fn checkpoint_if_due<S: PacketSource + StatefulSource>(
-        &self,
-        q: &EventQueue<Ev>,
-        feeder: &CkptFeeder<S>,
-        every_epochs: u64,
-        last_ckpt: &mut u64,
-        should_stop: &mut dyn FnMut() -> bool,
-        persist: &mut dyn FnMut(&Value, u64, u64) -> Result<(), SnapshotError>,
-    ) -> Result<bool, SnapshotError> {
-        let epochs = self.live_epochs_emitted();
-        if epochs == *last_ckpt {
-            return Ok(false);
+    /// Check that every per-input and per-output part of a decoded
+    /// state is sized for this switch's `N` ports and that every pending
+    /// event names ports in `0..N`, so a CRC-valid but inconsistent
+    /// snapshot is a typed [`SnapshotError::Mismatch`] instead of an
+    /// index panic mid-run.
+    fn check_shape(&self, st: &SwitchState) -> Result<(), SnapshotError> {
+        let n = self.cfg.ribbons;
+        let sizes = [
+            ("assemblers", st.assemblers.len()),
+            ("input_xbar_free", st.input_xbar_free.len()),
+            ("flush_pending", st.flush_pending.len()),
+            ("tail", st.tail.outputs()),
+            ("hbm_frames", st.hbm_frames.len()),
+            ("head", st.head.outputs()),
+            ("pending_to_head", st.pending_to_head.len()),
+            ("outputs", st.outputs.len()),
+            ("drain_scheduled", st.drain_scheduled.len()),
+            ("output_depth", st.output_depth.len()),
+        ];
+        for (what, len) in sizes {
+            if len != n {
+                return Err(SnapshotError::Mismatch(format!(
+                    "snapshot {what} covers {len} ports, the router has {n}"
+                )));
+            }
         }
-        let stop = should_stop();
-        if !stop && epochs - *last_ckpt < every_epochs {
-            return Ok(false);
+        if let Some(i) = (0..n).find(|&i| {
+            st.flush_pending[i].len() != n
+                || st.assemblers[i].input() != i
+                || st.assemblers[i].outputs() != n
+        }) {
+            return Err(SnapshotError::Mismatch(format!(
+                "snapshot input {i} is not sized for {n} outputs"
+            )));
         }
-        let state = self.save_state(q, feeder.save())?;
-        persist(&state, epochs, self.live_spans_emitted())?;
-        *last_ckpt = epochs;
-        Ok(stop)
+        if st.read_cursor >= n {
+            return Err(SnapshotError::Mismatch(format!(
+                "snapshot read cursor {} is outside the router's {n} outputs",
+                st.read_cursor
+            )));
+        }
+        if let Some((t, _, _)) = st.queue.iter().find(|(_, _, ev)| !ev.ports_below(n)) {
+            return Err(SnapshotError::Mismatch(format!(
+                "snapshot event at {t} names a port the router does not have"
+            )));
+        }
+        Ok(())
     }
 
     /// [`HbmSwitch::run_source`] with crash-safe checkpointing: every
@@ -2206,8 +1842,7 @@ impl HbmSwitch {
         FPersist: FnMut(&Value, u64, u64) -> Result<(), SnapshotError>,
     {
         assert!(every_epochs > 0, "checkpoint interval must be positive");
-        let mut q: EventQueue<Ev> = EventQueue::with_kind(self.queue_kind);
-        let mut feeder = match resume {
+        let (mut q, mut feeder) = match resume {
             Some(v) => {
                 let t0 = prof_now(&self.prof);
                 let st = SwitchState::from_value(v).map_err(|e| {
@@ -2215,94 +1850,26 @@ impl HbmSwitch {
                         "snapshot does not decode as a switch state: {e}"
                     ))
                 })?;
-                let feeder = self.restore_from(st, &mut q, source)?;
+                let restored = self.restore_from(st, source)?;
                 prof_add(&mut self.prof, Phase::CheckpointRestore, t0);
-                feeder
+                restored
             }
-            None => {
-                for ev in plan.events() {
-                    if !ev.kind.is_photonic() {
-                        q.schedule(ev.at, Ev::Fault(*ev));
-                    }
-                }
-                q.schedule(SimTime::ZERO, Ev::ReadTurn);
-                CkptFeeder::new(source)
-            }
+            None => (self.start_queue(plan), Lookahead::new(source)),
         };
         let mut last_ckpt = self.live_epochs_emitted();
-        loop {
-            if feeder.is_exhausted() {
-                self.arrivals_done = true;
+        self.run_loop(&mut q, &mut feeder, horizon, |sw, q, feeder| {
+            let epochs = sw.live_epochs_emitted();
+            let stop = should_stop();
+            if !stop && epochs - last_ckpt < every_epochs {
+                return Ok(false);
             }
-            let take_arrival = match (feeder.peek_time(), q.peek_time()) {
-                (Some(a), Some(t)) => a <= t,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if take_arrival {
-                let at = feeder.peek_time().expect("peeked");
-                if at > horizon {
-                    break;
-                }
-                self.live_flush_epochs(at, feeder.pulled());
-                // Mirror `checkpoint_if_due`'s quick-return guard so
-                // the per-event path pays no clock read; only epoch
-                // boundaries time the snapshot work.
-                let tck = if self.live_epochs_emitted() != last_ckpt {
-                    prof_now(&self.prof)
-                } else {
-                    None
-                };
-                let stop = self.checkpoint_if_due(
-                    &q,
-                    &feeder,
-                    every_epochs,
-                    &mut last_ckpt,
-                    &mut should_stop,
-                    &mut persist,
-                )?;
-                prof_add(&mut self.prof, Phase::CheckpointSave, tck);
-                if stop {
-                    self.prof_finish();
-                    return Ok(RunOutcome::Interrupted);
-                }
-                let (_, p) = feeder.pop().expect("peeked");
-                self.handle(&mut q, at, Ev::Arrival(p));
-            } else {
-                let t = q.peek_time().expect("peeked");
-                if t > horizon {
-                    break;
-                }
-                self.live_flush_epochs(t, feeder.pulled());
-                let tck = if self.live_epochs_emitted() != last_ckpt {
-                    prof_now(&self.prof)
-                } else {
-                    None
-                };
-                let stop = self.checkpoint_if_due(
-                    &q,
-                    &feeder,
-                    every_epochs,
-                    &mut last_ckpt,
-                    &mut should_stop,
-                    &mut persist,
-                )?;
-                prof_add(&mut self.prof, Phase::CheckpointSave, tck);
-                if stop {
-                    self.prof_finish();
-                    return Ok(RunOutcome::Interrupted);
-                }
-                let (now, ev) = q.pop().expect("peeked");
-                self.handle(&mut q, now, ev);
-            }
-        }
-        self.roll_capacity(self.last_departure);
-        let pulled = feeder.pulled();
-        drop(feeder);
-        self.live_finish(pulled);
-        self.prof_finish();
-        Ok(RunOutcome::Completed)
+            let t0 = prof_now(&sw.prof);
+            let state = sw.save_state(q, feeder.save())?;
+            persist(&state, epochs, sw.live_spans_emitted())?;
+            last_ckpt = epochs;
+            prof_add(&mut sw.prof, Phase::CheckpointSave, t0);
+            Ok(stop)
+        })
     }
 
     /// Build the report from current state, cloning the delay histogram
@@ -2850,174 +2417,6 @@ mod tests {
             ra.departures.last().map(|d| (d.packet, d.time)),
             rb.departures.last().map(|d| (d.packet, d.time))
         );
-    }
-
-    /// Split an arrival-ordered trace into per-port lanes (re-merging
-    /// them by `(arrival, input, id)` reproduces the original order).
-    fn port_lanes(t: &[Packet], n: usize) -> Vec<Vec<Packet>> {
-        let mut lanes = vec![Vec::new(); n];
-        for p in t {
-            lanes[p.input].push(*p);
-        }
-        lanes
-    }
-
-    fn run_ports_report(mut cfg: RouterConfig, engine: EngineKind, t: &[Packet]) -> String {
-        cfg.engine = engine;
-        let lanes = port_lanes(t, cfg.ribbons);
-        let mut sw = HbmSwitch::new(cfg).unwrap();
-        sw.run_ports(
-            lanes.iter().map(|l| ReplaySource::new(l)).collect(),
-            horizon_us(400),
-            &FaultPlan::default(),
-        );
-        format!("{:?}", sw.into_report())
-    }
-
-    #[test]
-    fn sharded_engine_matches_sequential_byte_for_byte() {
-        let cfg = RouterConfig::small();
-        let tm = TrafficMatrix::uniform(cfg.ribbons, 1.0);
-        let t = trace(0.8, &tm, horizon_us(80), 19);
-        let base = run_ports_report(cfg.clone(), EngineKind::Sequential, &t);
-        for shards in [1, 2, 4] {
-            let got = run_ports_report(cfg.clone(), EngineKind::Sharded { shards }, &t);
-            assert_eq!(got, base, "sharded({shards}) diverged from sequential");
-        }
-    }
-
-    #[test]
-    fn sharded_engine_matches_sequential_with_flush_heavy_low_load() {
-        // Low load exercises the flush-timer replay path heavily.
-        let cfg = RouterConfig::small();
-        let tm = TrafficMatrix::uniform(cfg.ribbons, 1.0);
-        let t = trace(0.05, &tm, horizon_us(80), 9);
-        let base = run_ports_report(cfg.clone(), EngineKind::Sequential, &t);
-        for shards in [2, 4] {
-            let got = run_ports_report(cfg.clone(), EngineKind::Sharded { shards }, &t);
-            assert_eq!(got, base, "sharded({shards}) diverged at low load");
-        }
-    }
-
-    #[test]
-    fn sharded_engine_matches_sequential_under_drops_and_faults() {
-        // Tiny input limit forces input drops; the fault plan flips
-        // `active_faults` mid-run, so the core-side drop classification
-        // (fault vs congestion) must replay at the exact same events.
-        let mut cfg = RouterConfig::small();
-        cfg.input_queue_limit = rip_units::DataSize::from_kib(24);
-        let tm = TrafficMatrix::hotspot(cfg.ribbons, 1.0, 0, 0.6);
-        let t = trace(0.9, &tm, horizon_us(120), 5);
-        let plan = FaultPlan::new()
-            .inject(
-                SimTime::from_ns(20_000),
-                FaultKind::RefreshStorm {
-                    duration: TimeDelta::from_ns(40_000),
-                },
-            )
-            .inject(
-                SimTime::from_ns(30_000),
-                FaultKind::HbmChannelDown { channel: 1 },
-            )
-            .recover(
-                SimTime::from_ns(70_000),
-                FaultKind::HbmChannelDown { channel: 1 },
-            );
-        let lanes = port_lanes(&t, cfg.ribbons);
-        let run = |engine: EngineKind| {
-            let mut c = cfg.clone();
-            c.engine = engine;
-            let mut sw = HbmSwitch::new(c).unwrap();
-            sw.enable_trace(100_000);
-            sw.run_ports(
-                lanes.iter().map(|l| ReplaySource::new(l)).collect(),
-                horizon_us(400),
-                &plan,
-            );
-            let events = format!(
-                "{:?}",
-                sw.trace().expect("tracing on").events().collect::<Vec<_>>()
-            );
-            (format!("{:?}", sw.into_report()), events)
-        };
-        let (base_report, base_events) = run(EngineKind::Sequential);
-        assert!(base_report.contains("dropped_input"), "sanity");
-        for shards in [2, 4] {
-            let (report, events) = run(EngineKind::Sharded { shards });
-            assert_eq!(report, base_report, "sharded({shards}) report diverged");
-            assert_eq!(events, base_events, "sharded({shards}) trace diverged");
-        }
-    }
-
-    #[test]
-    fn sharded_engine_streams_identical_live_telemetry() {
-        let cfg = RouterConfig::small();
-        let tm = TrafficMatrix::uniform(cfg.ribbons, 1.0);
-        let t = trace(0.8, &tm, horizon_us(60), 42);
-        let lanes = port_lanes(&t, cfg.ribbons);
-        let run = |engine: EngineKind| {
-            let mut c = cfg.clone();
-            c.engine = engine;
-            let staged = rip_telemetry::SharedSink::new();
-            let mut sw = HbmSwitch::new(c).unwrap();
-            sw.enable_live_telemetry(TimeDelta::from_ns(2_000), 64, Box::new(staged.clone()));
-            sw.run_ports(
-                lanes.iter().map(|l| ReplaySource::new(l)).collect(),
-                horizon_us(300),
-                &FaultPlan::default(),
-            );
-            (format!("{:?}", sw.into_report()), staged.take())
-        };
-        let (base_report, base_records) = run(EngineKind::Sequential);
-        for shards in [2, 4] {
-            let (report, records) = run(EngineKind::Sharded { shards });
-            assert_eq!(report, base_report, "sharded({shards}) report diverged");
-            assert_eq!(
-                records.records(),
-                base_records.records(),
-                "sharded({shards}) live stream diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn window_tuning_never_changes_the_answer() {
-        let cfg = RouterConfig::small();
-        let tm = TrafficMatrix::uniform(cfg.ribbons, 1.0);
-        let t = trace(0.6, &tm, horizon_us(40), 21);
-        let lanes = port_lanes(&t, cfg.ribbons);
-        let run = |tuning: ShardTuning| {
-            let mut c = cfg.clone();
-            c.engine = EngineKind::Sharded { shards: 2 };
-            let mut sw = HbmSwitch::new(c).unwrap();
-            sw.run_ports_tuned(
-                lanes.iter().map(|l| ReplaySource::new(l)).collect(),
-                horizon_us(200),
-                &FaultPlan::default(),
-                tuning,
-            );
-            format!("{:?}", sw.into_report())
-        };
-        let base = run(ShardTuning::default());
-        for tuning in [
-            ShardTuning {
-                block_events: 1,
-                window_mult: 1,
-                channel_blocks: 1,
-            },
-            ShardTuning {
-                block_events: 7,
-                window_mult: 3,
-                channel_blocks: 2,
-            },
-            ShardTuning {
-                block_events: 4096,
-                window_mult: 100_000,
-                channel_blocks: 16,
-            },
-        ] {
-            assert_eq!(run(tuning), base, "{tuning:?} changed the report");
-        }
     }
 
     const CKPT_PERIOD: TimeDelta = TimeDelta::from_ns(2_000);

@@ -411,8 +411,8 @@ mod tests {
 
     #[test]
     fn pre_hashed_lane_tags_match_egress_hashing() {
-        // Two identical ports, one fed lane-tagged chunks (as the
-        // sharded engine produces), one hashing at egress: every
+        // Two identical ports, one fed lane-tagged chunks (as an
+        // ingress-side lane lookup produces), one hashing at egress: every
         // departure and byte counter must agree.
         let mk = || {
             let mut p = OutputPort::new(0, DataRate::from_gbps(640), 4, 4);

@@ -78,6 +78,13 @@ pub(crate) struct TailSramState {
     occupancy: SramOccupancy,
 }
 
+impl TailSramState {
+    /// Number of per-output forming queues.
+    pub(crate) fn outputs(&self) -> usize {
+        self.forming.len()
+    }
+}
+
 impl TailSram {
     /// A tail SRAM for `outputs` outputs with batch size `k` and
     /// `batches_per_frame` = K/k.
@@ -181,6 +188,13 @@ pub(crate) struct HeadSramState {
     frames: Vec<VecDeque<Frame>>,
     limit: usize,
     occupancy: SramOccupancy,
+}
+
+impl HeadSramState {
+    /// Number of per-output frame queues.
+    pub(crate) fn outputs(&self) -> usize {
+        self.frames.len()
+    }
 }
 
 impl HeadSram {

@@ -81,9 +81,9 @@ impl HbmTiming {
     /// four-activation window admits at most 4 ACTs per tFAW (so
     /// consecutive ACTs average at least tFAW/4 apart). The minimum of
     /// those horizons is a floor on how soon one channel's state can
-    /// influence another's — a shard simulating up to `now +
-    /// lookahead_bound()` cannot miss a cross-shard effect. Parallel
-    /// engines use it to size their conservative windows (for the
+    /// influence another's — a partition simulating up to `now +
+    /// lookahead_bound()` cannot miss a cross-partition effect, which is
+    /// the window a conservative parallel engine would use (for the
     /// reference HBM4 set: min(16, 14, 10) = 10 ns).
     pub fn lookahead_bound(&self) -> TimeDelta {
         let faw_slot = TimeDelta::from_ps(self.t_faw.as_ps() / 4);

@@ -13,12 +13,6 @@
 //!   differential oracle ([`QueueKind`]).
 //! * [`arena`] — recycling pools ([`VecPool`]) that keep hot-loop
 //!   buffer churn out of the allocator without touching determinism.
-//! * [`Simulation`] — a thin driver that pops events and hands them to a
-//!   handler together with a scheduling context.
-//! * [`Feeder`] — a bounded-lookahead buffer over a pull-based external
-//!   arrival stream, so streaming drivers interleave source pulls with
-//!   queue events in O(lookahead) memory instead of pre-scheduling the
-//!   whole horizon.
 //! * [`rng`] — seeded, stream-splittable random number generation. Every
 //!   stochastic component of the workspace takes an explicit `u64` seed.
 //! * [`snapshot`] — versioned, CRC-checked checkpoint containers with
@@ -31,22 +25,18 @@
 //! # Example
 //!
 //! ```
-//! use rip_sim::Simulation;
+//! use rip_sim::EventQueue;
 //! use rip_units::{SimTime, TimeDelta};
 //!
-//! #[derive(Debug)]
-//! enum Ev { Ping(u32) }
-//!
-//! let mut sim = Simulation::new();
-//! sim.schedule(SimTime::ZERO, Ev::Ping(0));
+//! let mut q = EventQueue::new();
+//! q.schedule(SimTime::ZERO, 0u32);
 //! let mut seen = Vec::new();
-//! sim.run(|now, ev, q| {
-//!     let Ev::Ping(n) = ev;
+//! while let Some((now, n)) = q.pop() {
 //!     seen.push((now.as_ps(), n));
 //!     if n < 3 {
-//!         q.schedule(now + TimeDelta::from_ns(1), Ev::Ping(n + 1));
+//!         q.schedule(now + TimeDelta::from_ns(1), n + 1);
 //!     }
-//! });
+//! }
 //! assert_eq!(seen.len(), 4);
 //! ```
 
@@ -54,7 +44,6 @@
 #![warn(missing_docs)]
 
 pub mod arena;
-mod feeder;
 mod queue;
 pub mod rng;
 mod series;
@@ -62,6 +51,5 @@ pub mod snapshot;
 pub mod stats;
 
 pub use arena::VecPool;
-pub use feeder::Feeder;
-pub use queue::{EventQueue, EventSink, QueueKind, ShardedEventQueue, Simulation};
+pub use queue::{EventQueue, QueueKind};
 pub use series::{Series, TraceLog};

@@ -77,9 +77,9 @@ proptest! {
                     prop_assert_eq!(&we, &he, "snapshot entries diverged");
                     let (seq, now) = (wheel.next_seq(), wheel.now());
                     wheel = EventQueue::from_entries_in(
-                        QueueKind::TimingWheel, he, seq, now);
+                        QueueKind::TimingWheel, he, seq, now).expect("consistent");
                     heap = EventQueue::from_entries_in(
-                        QueueKind::BinaryHeap, we, seq, now);
+                        QueueKind::BinaryHeap, we, seq, now).expect("consistent");
                 }
             }
         }
@@ -110,7 +110,7 @@ proptest! {
         }
         let (seq, now) = (wheel.next_seq(), wheel.now());
         let mut heap = EventQueue::from_entries_in(
-            QueueKind::BinaryHeap, wheel.entries(), seq, now);
+            QueueKind::BinaryHeap, wheel.entries(), seq, now).expect("consistent");
         for i in 0..4u32 {
             wheel.schedule(t.max(now), 1000 + i);
             heap.schedule(t.max(now), 1000 + i);

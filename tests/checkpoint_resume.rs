@@ -126,27 +126,35 @@ fn resume_from(seed: u64, payload: &[u8]) -> (Vec<SinkRecord>, String) {
 
 /// [`resume_from`] under an explicit event-queue kernel.
 fn resume_from_with(seed: u64, payload: &[u8], kind: QueueKind) -> (Vec<SinkRecord>, String) {
-    let (cfg, tm, horizon) = live_setup();
     let text = std::str::from_utf8(payload).expect("snapshot payload is JSON");
     let state = serde_json::parse(text).expect("snapshot payload parses");
+    try_resume(seed, &state, kind).expect("resumed run")
+}
+
+/// Resume from a decoded snapshot state and run to completion, passing
+/// a restore failure back to the caller.
+fn try_resume(
+    seed: u64,
+    state: &Value,
+    kind: QueueKind,
+) -> Result<(Vec<SinkRecord>, String), SnapshotError> {
+    let (cfg, tm, horizon) = live_setup();
     let staged = SharedSink::new();
     let mut sw = HbmSwitch::new(cfg.clone()).expect("valid config");
     sw.set_queue_kind(kind);
     sw.enable_live_telemetry(PERIOD, 64, Box::new(staged.clone()));
-    let outcome = sw
-        .run_source_checkpointed(
-            source_for(&cfg, &tm, 0.8, horizon, seed),
-            cfg.drain.deadline(horizon),
-            &FaultPlan::default(),
-            Some(&state),
-            1_000_000,
-            || false,
-            |_, _, _| Ok(()),
-        )
-        .expect("resumed run");
+    let outcome = sw.run_source_checkpointed(
+        source_for(&cfg, &tm, 0.8, horizon, seed),
+        cfg.drain.deadline(horizon),
+        &FaultPlan::default(),
+        Some(state),
+        1_000_000,
+        || false,
+        |_, _, _| Ok(()),
+    )?;
     assert_eq!(outcome, RunOutcome::Completed);
     let records = staged.take().records().iter().cloned().collect();
-    (records, json(&sw.into_report()))
+    Ok((records, json(&sw.into_report())))
 }
 
 #[test]
@@ -209,6 +217,48 @@ fn truncated_newest_slot_falls_back_to_prev_and_still_converges() {
         .chain(resumed)
         .collect();
     assert_eq!(merged, base_records);
+}
+
+/// A snapshot that passes its CRC but contradicts itself or the router
+/// must resume with a typed [`SnapshotError::Mismatch`] — never an
+/// index panic or a failed assert deep inside the run.
+#[test]
+fn crc_valid_but_inconsistent_snapshots_resume_with_a_typed_mismatch() {
+    let seed = 29;
+    let path = scratch("inconsistent.snap");
+    let (_, outcome, _) = run_until(seed, &path, 2, 1);
+    assert_eq!(outcome, RunOutcome::Interrupted);
+    let (payload, _) = load_latest(&path).expect("snapshot loads");
+    let text = std::str::from_utf8(&payload).expect("snapshot payload is JSON");
+    let good = serde_json::parse(text).expect("snapshot payload parses");
+    // The untouched snapshot resumes: the cases below fail on their
+    // edit alone.
+    try_resume(seed, &good, QueueKind::default_kind()).expect("untouched snapshot resumes");
+
+    type Edit = fn(&mut Value);
+    let cases: [(&str, Edit); 3] = [
+        ("queue_next_seq = 0", |v| {
+            *field_mut(v, "queue_next_seq") = 0u64.to_value();
+        }),
+        ("assemblers cut to one entry", |v| {
+            let Value::Array(a) = field_mut(v, "assemblers") else {
+                panic!("assemblers: not an array")
+            };
+            a.truncate(1);
+        }),
+        ("pending_to_head = []", |v| {
+            *field_mut(v, "pending_to_head") = Value::Array(Vec::new());
+        }),
+    ];
+    for (what, edit) in cases {
+        let mut state = good.clone();
+        edit(&mut state);
+        match try_resume(seed, &state, QueueKind::default_kind()) {
+            Err(SnapshotError::Mismatch(msg)) => assert!(!msg.is_empty(), "{what}"),
+            Err(other) => panic!("{what}: expected a mismatch, got {other}"),
+            Ok(_) => panic!("{what}: an inconsistent snapshot resumed"),
+        }
+    }
 }
 
 /// One cross-kernel direction: snapshot under `snap_kind`, resume under

@@ -14,12 +14,12 @@
 use std::cell::RefCell;
 use std::path::PathBuf;
 
-use rip_core::{EngineKind, FaultPlan, HbmSwitch, RouterConfig, RunOutcome, ShardTuning};
+use rip_core::{FaultPlan, HbmSwitch, RouterConfig, RunOutcome};
 use rip_integration_tests::source_for;
 use rip_sim::QueueKind;
 use rip_telemetry::{JsonlSink, Phase, ProfileHub, SharedSink, TraceWindow};
 use rip_traffic::{
-    ArrivalProcess, BoundedSource, PacketGenerator, SizeDistribution, TrafficMatrix,
+    ArrivalProcess, BoundedSource, MergedSource, PacketGenerator, SizeDistribution, TrafficMatrix,
 };
 use rip_units::{SimTime, TimeDelta};
 use serde::Deserialize;
@@ -70,7 +70,7 @@ struct SimSpec {
     epoch_ps: Option<u64>,
 }
 
-fn build_lanes(spec: &SimSpec, horizon: SimTime) -> Vec<BoundedSource<PacketGenerator>> {
+fn build_source(spec: &SimSpec, horizon: SimTime) -> MergedSource<BoundedSource<PacketGenerator>> {
     let n = spec.router.ribbons;
     let tm = match spec.matrix {
         MatrixSpec::Uniform => TrafficMatrix::uniform(n, 1.0),
@@ -95,7 +95,7 @@ fn build_lanes(spec: &SimSpec, horizon: SimTime) -> Vec<BoundedSource<PacketGene
         ProcessSpec::Cbr => ArrivalProcess::Cbr,
         ProcessSpec::OnOff { mean_burst_packets } => ArrivalProcess::OnOff { mean_burst_packets },
     };
-    (0..n)
+    let lanes = (0..n)
         .map(|port| {
             let g = PacketGenerator::new(
                 port,
@@ -110,7 +110,8 @@ fn build_lanes(spec: &SimSpec, horizon: SimTime) -> Vec<BoundedSource<PacketGene
             .expect("config builds a valid generator");
             BoundedSource::new(g, horizon)
         })
-        .collect()
+        .collect();
+    MergedSource::new(lanes)
 }
 
 fn epoch_period(spec: &SimSpec) -> TimeDelta {
@@ -147,32 +148,52 @@ fn shipped_configs() -> Vec<(String, SimSpec)> {
 /// event sequences, not full-length soaks.
 const HORIZON_CAP_US: u64 = 20;
 
+/// The two public entry points into the switch's event loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Engine {
+    /// `HbmSwitch::run_source`.
+    Plain,
+    /// `HbmSwitch::run_source_checkpointed`, snapshotting every few
+    /// epochs into a discarding persist callback.
+    Checkpointed,
+}
+
 /// Run `spec` under an explicit engine/kernel pairing, optionally with
 /// a profiler attached, and return the serialized final report plus
 /// the rendered JSONL telemetry stream.
 fn run_spec(
     spec: &SimSpec,
     kind: QueueKind,
-    engine: EngineKind,
+    engine: Engine,
     horizon: SimTime,
     hub: Option<&ProfileHub>,
 ) -> (String, Vec<u8>) {
     let deadline = SimTime::from_ps(horizon.as_ps() * (1 + spec.drain_factor));
     let staged = SharedSink::new();
-    let mut cfg = spec.router.clone();
-    cfg.engine = engine;
-    let mut sw = HbmSwitch::new(cfg).expect("shipped config is valid");
+    let mut sw = HbmSwitch::new(spec.router.clone()).expect("shipped config is valid");
     sw.set_queue_kind(kind);
     if let Some(h) = hub {
         sw.enable_profiler(h.clone());
     }
     sw.enable_live_telemetry(epoch_period(spec), 64, Box::new(staged.clone()));
-    sw.run_ports_tuned(
-        build_lanes(spec, horizon),
-        deadline,
-        &FaultPlan::default(),
-        ShardTuning::default(),
-    );
+    let source = build_source(spec, horizon);
+    match engine {
+        Engine::Plain => sw.run_source(source, deadline, &FaultPlan::default()),
+        Engine::Checkpointed => {
+            let outcome = sw
+                .run_source_checkpointed(
+                    source,
+                    deadline,
+                    &FaultPlan::default(),
+                    None,
+                    3,
+                    || false,
+                    |_, _, _| Ok(()),
+                )
+                .expect("checkpointed run");
+            assert_eq!(outcome, RunOutcome::Completed);
+        }
+    }
     let report = serde_json::to_string(&sw.into_report()).expect("report serializes");
     let mut jsonl: Vec<u8> = Vec::new();
     {
@@ -184,7 +205,7 @@ fn run_spec(
 
 #[test]
 fn profiler_leaves_every_engine_and_kernel_byte_identical() {
-    let engines = [EngineKind::Sequential, EngineKind::Sharded { shards: 2 }];
+    let engines = [Engine::Plain, Engine::Checkpointed];
     let kinds = [QueueKind::TimingWheel, QueueKind::BinaryHeap];
     for (name, spec) in &shipped_configs() {
         let horizon = SimTime::from_ns(spec.horizon_us.min(HORIZON_CAP_US) * 1000);
@@ -224,11 +245,10 @@ fn profiler_leaves_chrome_traces_byte_identical() {
             sw.enable_profiler(h.clone());
         }
         sw.enable_chrome_trace(TraceWindow::all());
-        sw.run_ports_tuned(
-            build_lanes(&spec, horizon),
+        sw.run_source(
+            build_source(&spec, horizon),
             deadline,
             &FaultPlan::default(),
-            ShardTuning::default(),
         );
         let rec = sw.take_chrome_trace().expect("trace enabled");
         let mut json: Vec<u8> = Vec::new();
@@ -327,7 +347,7 @@ fn profile_records_are_well_formed() {
     run_spec(
         &spec,
         QueueKind::TimingWheel,
-        EngineKind::Sharded { shards: 2 },
+        Engine::Checkpointed,
         horizon,
         Some(&hub),
     );
@@ -353,7 +373,6 @@ fn profile_records_are_well_formed() {
         }
         last_epoch.insert(rec.source.as_str(), rec.epoch);
     }
-    // Sharded runs attribute work to the per-shard sources too.
     assert!(
         records.iter().any(|r| r.source == "engine"),
         "{name}: no engine-source records"
