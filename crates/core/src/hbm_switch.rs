@@ -7,7 +7,7 @@ use std::collections::{HashSet, VecDeque};
 use rip_hbm::{HbmCommandKind, HbmGroup, PfiController};
 use rip_sim::snapshot::SnapshotError;
 use rip_sim::stats::Histogram;
-use rip_sim::{EventQueue, QueueKind, Series, TraceLog, VecPool};
+use rip_sim::{EventQueue, Series, TraceLog, VecPool};
 use rip_telemetry::{
     prof_add, prof_lap, prof_now, prof_now_sampled, prof_renew, EngineProfiler, EpochClock,
     MetricsRegistry, Phase, ProfileHub, Snapshot, SpanEvent, TelemetrySink, TraceRecorder,
@@ -424,11 +424,6 @@ pub struct HbmSwitch {
     /// is off or finished. Keeps the per-event flush check to one
     /// integer compare.
     live_boundary_ps: u64,
-    /// Event-queue kernel for every run started on this switch (the
-    /// timing wheel by default; the binary-heap oracle for differential
-    /// runs). Snapshots are kernel-agnostic, so a snapshot taken under
-    /// one kind resumes byte-identically under the other.
-    queue_kind: QueueKind,
     /// Precomputed `switch.outNN.queue_depth_frames` metric names, so
     /// the per-frame depth sample does not format a fresh string.
     out_depth_keys: Vec<String>,
@@ -509,7 +504,6 @@ impl HbmSwitch {
             chrome: None,
             live: None,
             live_boundary_ps: u64::MAX,
-            queue_kind: QueueKind::default_kind(),
             out_depth_keys: (0..n)
                 .map(|o| format!("switch.out{o:02}.queue_depth_frames"))
                 .collect(),
@@ -536,20 +530,6 @@ impl HbmSwitch {
     /// merged exposition can tell planes apart.
     pub fn enable_profiler_as(&mut self, hub: ProfileHub, source: &str) {
         self.prof = Some(EngineProfiler::new(hub, source));
-    }
-
-    /// Select the event-queue kernel for subsequent runs: the timing
-    /// wheel (default) or the binary-heap differential oracle. Both
-    /// kernels realize the same `(time, insertion-seq)` total order, so
-    /// reports, telemetry and snapshots are byte-identical across
-    /// kinds — the kernel-equivalence suite runs both and compares.
-    pub fn set_queue_kind(&mut self, kind: QueueKind) {
-        self.queue_kind = kind;
-    }
-
-    /// The event-queue kernel runs on this switch will use.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue_kind
     }
 
     /// The configuration in force.
@@ -1396,7 +1376,7 @@ impl HbmSwitch {
         horizon: SimTime,
         plan: &FaultPlan,
     ) -> SwitchReport {
-        let mut q: EventQueue<Ev> = EventQueue::with_kind(self.queue_kind);
+        let mut q: EventQueue<Ev> = EventQueue::new();
         let mut last_arrival = SimTime::ZERO;
         for p in trace {
             assert!(p.arrival >= last_arrival, "trace must be arrival-ordered");
@@ -1453,7 +1433,7 @@ impl HbmSwitch {
     /// A fresh event queue holding a run's initial events: the
     /// switch-scope faults of `plan`, then the first read turn.
     fn start_queue(&self, plan: &FaultPlan) -> EventQueue<Ev> {
-        let mut q = EventQueue::with_kind(self.queue_kind);
+        let mut q = EventQueue::new();
         for ev in plan.events() {
             if !ev.kind.is_photonic() {
                 q.schedule(ev.at, Ev::Fault(*ev));
@@ -1645,12 +1625,7 @@ impl HbmSwitch {
             ));
         }
         self.check_shape(&st)?;
-        let q = EventQueue::from_entries_in(
-            self.queue_kind,
-            st.queue,
-            st.queue_next_seq,
-            st.queue_last_popped,
-        )?;
+        let q = EventQueue::from_entries(st.queue, st.queue_next_seq, st.queue_last_popped)?;
         let feeder = Lookahead::restore(source, &st.feeder)
             .map_err(|e| SnapshotError::Mismatch(format!("feeder state does not decode: {e}")))?;
         if feeder
@@ -1752,10 +1727,12 @@ impl HbmSwitch {
     }
 
     /// Check that every per-input and per-output part of a decoded
-    /// state is sized for this switch's `N` ports and that every pending
-    /// event names ports in `0..N`, so a CRC-valid but inconsistent
-    /// snapshot is a typed [`SnapshotError::Mismatch`] instead of an
-    /// index panic mid-run.
+    /// state is sized for this switch's `N` ports, that every pending
+    /// event names ports in `0..N`, and that each output's
+    /// `pending_to_head` count matches its pending `FrameAtHead` events,
+    /// so a CRC-valid but inconsistent snapshot is a typed
+    /// [`SnapshotError::Mismatch`] instead of a panic or a wrapped
+    /// counter mid-run.
     fn check_shape(&self, st: &SwitchState) -> Result<(), SnapshotError> {
         let n = self.cfg.ribbons;
         let sizes = [
@@ -1795,6 +1772,20 @@ impl HbmSwitch {
         if let Some((t, _, _)) = st.queue.iter().find(|(_, _, ev)| !ev.ports_below(n)) {
             return Err(SnapshotError::Mismatch(format!(
                 "snapshot event at {t} names a port the router does not have"
+            )));
+        }
+        // Every frame counted as on its way to the head SRAM has exactly
+        // one pending arrival event, whose dispatch uncounts it.
+        let mut to_head = vec![0usize; n];
+        for (_, _, ev) in &st.queue {
+            if let Ev::FrameAtHead(f) = ev {
+                to_head[f.output] += 1;
+            }
+        }
+        if let Some(o) = (0..n).find(|&o| st.pending_to_head[o] != to_head[o]) {
+            return Err(SnapshotError::Mismatch(format!(
+                "snapshot counts {} frames bound for output {o}'s head SRAM, its queue holds {}",
+                st.pending_to_head[o], to_head[o]
             )));
         }
         Ok(())

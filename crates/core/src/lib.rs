@@ -55,7 +55,7 @@ mod resilience;
 mod sps;
 mod sram;
 
-pub use batch::{Batch, BatchAssembler, Chunk, NO_LANE};
+pub use batch::{Batch, BatchAssembler, Chunk};
 pub use config::{DrainPolicy, RouterConfig, SRAM_INTERFACE_BITS};
 pub use crossbar::CyclicalCrossbar;
 pub use error::ConfigError;

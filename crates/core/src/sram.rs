@@ -308,7 +308,6 @@ mod tests {
                     dst_port: 4,
                     proto: 6,
                 },
-                lane: crate::batch::NO_LANE,
             }],
             padding: K - DataSize::from_bytes(bytes),
         }

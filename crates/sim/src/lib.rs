@@ -8,9 +8,9 @@
 //! * [`EventQueue`] — a time-ordered queue with **deterministic
 //!   tie-breaking** (FIFO among equal-time events, by insertion sequence
 //!   number), so a simulation is a pure function of its configuration and
-//!   seed. Backed by a hierarchical timing wheel on picosecond buckets;
-//!   the original binary-heap kernel survives as a runtime-selectable
-//!   differential oracle ([`QueueKind`]).
+//!   seed. One binary min-heap over `(time, seq)`: the switch pulls its
+//!   arrivals from a lookahead instead of queueing them, so the pending
+//!   population stays small.
 //! * [`arena`] — recycling pools ([`VecPool`]) that keep hot-loop
 //!   buffer churn out of the allocator without touching determinism.
 //! * [`rng`] — seeded, stream-splittable random number generation. Every
@@ -51,5 +51,5 @@ pub mod snapshot;
 pub mod stats;
 
 pub use arena::VecPool;
-pub use queue::{EventQueue, QueueKind};
+pub use queue::EventQueue;
 pub use series::{Series, TraceLog};

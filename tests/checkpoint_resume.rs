@@ -24,12 +24,11 @@ use rip_core::{
 use rip_integration_tests::source_for;
 use rip_photonics::SplitPattern;
 use rip_sim::snapshot::{load_latest, prev_slot, write_snapshot, SnapshotError};
-use rip_sim::QueueKind;
 use rip_telemetry::{MemorySink, SharedSink, SinkRecord};
 use rip_traffic::StatefulSource;
 use rip_traffic::TrafficMatrix;
 use rip_units::{SimTime, TimeDelta};
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
 const PERIOD: TimeDelta = TimeDelta::from_ns(2_000);
 
@@ -79,22 +78,9 @@ fn run_until(
     every: u64,
     stop_after: u64,
 ) -> (Vec<SinkRecord>, RunOutcome, Vec<(u64, u64)>) {
-    run_until_with(seed, path, every, stop_after, QueueKind::default_kind())
-}
-
-/// [`run_until`] under an explicit event-queue kernel, so snapshots can
-/// be produced by the binary-heap oracle for cross-kernel resume tests.
-fn run_until_with(
-    seed: u64,
-    path: &std::path::Path,
-    every: u64,
-    stop_after: u64,
-    kind: QueueKind,
-) -> (Vec<SinkRecord>, RunOutcome, Vec<(u64, u64)>) {
     let (cfg, tm, horizon) = live_setup();
     let staged = SharedSink::new();
     let mut sw = HbmSwitch::new(cfg.clone()).expect("valid config");
-    sw.set_queue_kind(kind);
     sw.enable_live_telemetry(PERIOD, 64, Box::new(staged.clone()));
     let written = Cell::new(0u64);
     let counts = RefCell::new(Vec::new());
@@ -121,27 +107,21 @@ fn run_until_with(
 /// Resume the engine from an on-disk snapshot payload and run to
 /// completion; returns the continuation stream and the report JSON.
 fn resume_from(seed: u64, payload: &[u8]) -> (Vec<SinkRecord>, String) {
-    resume_from_with(seed, payload, QueueKind::default_kind())
+    try_resume(seed, &parse_payload(payload)).expect("resumed run")
 }
 
-/// [`resume_from`] under an explicit event-queue kernel.
-fn resume_from_with(seed: u64, payload: &[u8], kind: QueueKind) -> (Vec<SinkRecord>, String) {
+/// Decode an on-disk snapshot payload into its JSON state.
+fn parse_payload(payload: &[u8]) -> Value {
     let text = std::str::from_utf8(payload).expect("snapshot payload is JSON");
-    let state = serde_json::parse(text).expect("snapshot payload parses");
-    try_resume(seed, &state, kind).expect("resumed run")
+    serde_json::parse(text).expect("snapshot payload parses")
 }
 
 /// Resume from a decoded snapshot state and run to completion, passing
 /// a restore failure back to the caller.
-fn try_resume(
-    seed: u64,
-    state: &Value,
-    kind: QueueKind,
-) -> Result<(Vec<SinkRecord>, String), SnapshotError> {
+fn try_resume(seed: u64, state: &Value) -> Result<(Vec<SinkRecord>, String), SnapshotError> {
     let (cfg, tm, horizon) = live_setup();
     let staged = SharedSink::new();
     let mut sw = HbmSwitch::new(cfg.clone()).expect("valid config");
-    sw.set_queue_kind(kind);
     sw.enable_live_telemetry(PERIOD, 64, Box::new(staged.clone()));
     let outcome = sw.run_source_checkpointed(
         source_for(&cfg, &tm, 0.8, horizon, seed),
@@ -229,14 +209,13 @@ fn crc_valid_but_inconsistent_snapshots_resume_with_a_typed_mismatch() {
     let (_, outcome, _) = run_until(seed, &path, 2, 1);
     assert_eq!(outcome, RunOutcome::Interrupted);
     let (payload, _) = load_latest(&path).expect("snapshot loads");
-    let text = std::str::from_utf8(&payload).expect("snapshot payload is JSON");
-    let good = serde_json::parse(text).expect("snapshot payload parses");
+    let good = parse_payload(&payload);
     // The untouched snapshot resumes: the cases below fail on their
     // edit alone.
-    try_resume(seed, &good, QueueKind::default_kind()).expect("untouched snapshot resumes");
+    try_resume(seed, &good).expect("untouched snapshot resumes");
 
     type Edit = fn(&mut Value);
-    let cases: [(&str, Edit); 3] = [
+    let cases: [(&str, Edit); 4] = [
         ("queue_next_seq = 0", |v| {
             *field_mut(v, "queue_next_seq") = 0u64.to_value();
         }),
@@ -249,11 +228,19 @@ fn crc_valid_but_inconsistent_snapshots_resume_with_a_typed_mismatch() {
         ("pending_to_head = []", |v| {
             *field_mut(v, "pending_to_head") = Value::Array(Vec::new());
         }),
+        // A count above the output's pending `FrameAtHead` events never
+        // drains back to zero; one below them underflows when they fire.
+        ("pending_to_head[0] bumped by one", |v| {
+            let field = field_mut(v, "pending_to_head");
+            let mut counts = Vec::<u64>::from_value(field).expect("a count vector");
+            counts[0] += 1;
+            *field = counts.to_value();
+        }),
     ];
     for (what, edit) in cases {
         let mut state = good.clone();
         edit(&mut state);
-        match try_resume(seed, &state, QueueKind::default_kind()) {
+        match try_resume(seed, &state) {
             Err(SnapshotError::Mismatch(msg)) => assert!(!msg.is_empty(), "{what}"),
             Err(other) => panic!("{what}: expected a mismatch, got {other}"),
             Ok(_) => panic!("{what}: an inconsistent snapshot resumed"),
@@ -261,21 +248,81 @@ fn crc_valid_but_inconsistent_snapshots_resume_with_a_typed_mismatch() {
     }
 }
 
-/// One cross-kernel direction: snapshot under `snap_kind`, resume under
-/// `resume_kind`, and require the merged stream and final report to be
-/// byte-identical to the uninterrupted default-kernel baseline.
-fn assert_cross_kernel_resume(seed: u64, name: &str, snap_kind: QueueKind, resume_kind: QueueKind) {
-    let path = scratch(name);
-    let (base_records, base_report) = baseline(seed);
+/// The fields of a JSON object.
+type Fields = Vec<(String, Value)>;
 
-    let (_, outcome, counts) = run_until_with(seed, &path, 2, 2, snap_kind);
+/// Visit every JSON object nested anywhere in `v`, depth first.
+fn for_each_object(v: &mut Value, f: &mut dyn FnMut(&mut Fields)) {
+    match v {
+        Value::Object(fields) => {
+            f(fields);
+            for (_, x) in fields.iter_mut() {
+                for_each_object(x, f);
+            }
+        }
+        Value::Array(items) => items.iter_mut().for_each(|x| for_each_object(x, f)),
+        _ => {}
+    }
+}
+
+/// True if `fields` has exactly the keys `keys`, in any order.
+fn has_keys(fields: &[(String, Value)], keys: &[&str]) -> bool {
+    fields.len() == keys.len() && keys.iter().all(|k| fields.iter().any(|(f, _)| f == k))
+}
+
+/// Rewrite a switch snapshot into the layout written while chunks
+/// carried an egress-lane tag: every batch chunk gains a `lane` field
+/// (the "hash at egress" sentinel, `u32::MAX`), and with `voq_tags`
+/// every queued VOQ entry gains the same tag as its sixth element.
+/// Returns the number of VOQ entries so tagged.
+fn lane_tagged_layout(v: &mut Value, voq_tags: bool) -> usize {
+    const CHUNK: [&str; 6] = ["packet", "offset", "len", "is_last", "arrival", "flow"];
+    let mut tagged = 0;
+    for_each_object(v, &mut |fields| {
+        if has_keys(fields, &CHUNK) {
+            fields.push(("lane".into(), u32::MAX.to_value()));
+        } else if voq_tags && has_keys(fields, &["pending", "queued", "next_seq"]) {
+            let (_, pending) = fields
+                .iter_mut()
+                .find(|(k, _)| k == "pending")
+                .expect("pending");
+            let Value::Array(pending) = pending else {
+                panic!("pending: not an array")
+            };
+            for entry in pending {
+                let Value::Array(tuple) = entry else {
+                    panic!("pending entry: not a tuple")
+                };
+                tuple.push(u32::MAX.to_value());
+                tagged += 1;
+            }
+        }
+    });
+    tagged
+}
+
+#[test]
+fn switch_checkpoint_from_before_lane_tag_removal_resumes_or_fails_typed() {
+    // Chunks and VOQ entries no longer carry a pre-hashed egress-lane
+    // tag. A snapshot written in the tagged layout must either resume
+    // to the uninterrupted run byte for byte, or be refused with a
+    // typed error — never a panic or a silently different run.
+    let seed = 43;
+    let path = scratch("lane-tagged.snap");
+    let (base_records, base_report) = baseline(seed);
+    let (_, outcome, counts) = run_until(seed, &path, 2, 2);
     assert_eq!(outcome, RunOutcome::Interrupted);
     let (payload, _) = load_latest(&path).expect("snapshot loads");
-    let (resumed, report) = resume_from_with(seed, &payload, resume_kind);
-    assert_eq!(
-        report, base_report,
-        "{snap_kind:?} snapshot resumed under {resume_kind:?} diverged"
-    );
+    let state = parse_payload(&payload);
+
+    // Chunk tags alone are an unknown field: ignored, and the resume
+    // is byte-identical (a tag only ever named the lane the egress
+    // hash picks anyway).
+    let mut chunk_tagged = state.clone();
+    lane_tagged_layout(&mut chunk_tagged, false);
+    assert_ne!(chunk_tagged, state, "the snapshot holds no batch chunks");
+    let (resumed, report) = try_resume(seed, &chunk_tagged).expect("chunk tags are ignored");
+    assert_eq!(report, base_report, "lane-tagged resume diverged");
     let &(epochs, spans) = counts.last().unwrap();
     let keep = (epochs + spans) as usize;
     let merged: Vec<SinkRecord> = base_records[..keep]
@@ -283,43 +330,22 @@ fn assert_cross_kernel_resume(seed: u64, name: &str, snap_kind: QueueKind, resum
         .cloned()
         .chain(resumed)
         .collect();
-    assert_eq!(
-        merged, base_records,
-        "merged {snap_kind:?}->{resume_kind:?} stream diverged"
-    );
-}
+    assert_eq!(merged, base_records, "lane-tagged merged stream diverged");
 
-#[test]
-fn heap_ordered_snapshot_resumes_byte_identically_under_the_wheel_kernel() {
-    // Snapshots written before the timing-wheel rewrite were produced
-    // by the binary-heap kernel. The container stores the queue in
-    // kernel-agnostic pop order, so such a snapshot must be accepted by
-    // the wheel kernel with a byte-identical continuation — never a
-    // silent divergence.
-    assert_cross_kernel_resume(
-        37,
-        "heap-to-wheel.snap",
-        QueueKind::BinaryHeap,
-        QueueKind::TimingWheel,
+    // A six-element VOQ entry no longer decodes: a typed mismatch.
+    let mut old = state;
+    assert!(
+        lane_tagged_layout(&mut old, true) > 0,
+        "the snapshot holds no queued VOQ entries"
     );
-}
-
-#[test]
-fn wheel_snapshot_resumes_byte_identically_under_both_kernels() {
-    // The new kernel's own snapshots resume under itself...
-    assert_cross_kernel_resume(
-        41,
-        "wheel-to-wheel.snap",
-        QueueKind::TimingWheel,
-        QueueKind::TimingWheel,
-    );
-    // ...and remain readable by the differential heap oracle.
-    assert_cross_kernel_resume(
-        41,
-        "wheel-to-heap.snap",
-        QueueKind::TimingWheel,
-        QueueKind::BinaryHeap,
-    );
+    match try_resume(seed, &old) {
+        Err(SnapshotError::Mismatch(msg)) => assert!(
+            msg.contains("expected tuple of 5 elements, found 6"),
+            "{msg}"
+        ),
+        Err(other) => panic!("expected a typed mismatch, got {other}"),
+        Ok(_) => panic!("a six-element VOQ entry resumed"),
+    }
 }
 
 // ------------------------------------------------------------------

@@ -1,21 +1,18 @@
-//! Kernel- and engine-equivalence differential suite.
+//! Event-loop equivalence differential suite.
 //!
-//! The timing-wheel event kernel must be observably indistinguishable
-//! from the binary-heap oracle it replaced: for every shipped config in
-//! `configs/*.json`, a same-seed run under each kernel must produce a
-//! byte-identical serialized final report AND a byte-identical JSONL
-//! live-telemetry stream. The same contract binds the two entry points
-//! into the switch's one event loop: every config runs under every
-//! `{run_source, run_source_checkpointed}` × `{wheel, heap}` pairing,
-//! with the checkpointed run snapshotting at every epoch boundary.
-//! Horizons are capped so the suite stays fast in debug builds — the
-//! runs dispatch identical event sequences from the first pop, so a
-//! capped run that diverges would diverge at full length too.
+//! The two entry points into the switch's one event loop,
+//! `run_source` and `run_source_checkpointed` (snapshotting at every
+//! epoch boundary), must be observably indistinguishable: for every
+//! shipped config in `configs/*.json`, a same-seed run through each
+//! must produce a byte-identical serialized final report AND a
+//! byte-identical JSONL live-telemetry stream. Horizons are capped so
+//! the suite stays fast in debug builds — the runs dispatch identical
+//! event sequences from the first pop, so a capped run that diverges
+//! would diverge at full length too.
 
 use std::path::PathBuf;
 
 use rip_core::{FaultPlan, HbmSwitch, RouterConfig, RunOutcome};
-use rip_sim::QueueKind;
 use rip_telemetry::{JsonlSink, SharedSink};
 use rip_traffic::{
     ArrivalProcess, BoundedSource, MergedSource, PacketGenerator, SizeDistribution, TrafficMatrix,
@@ -129,20 +126,12 @@ enum Engine {
     Checkpointed,
 }
 
-/// Run `spec` to completion through `engine` under `kind` and return
-/// the serialized final report plus the rendered JSONL telemetry
-/// stream.
-fn run_engine(
-    spec: &SimSpec,
-    kind: QueueKind,
-    engine: Engine,
-    horizon: SimTime,
-) -> (String, Vec<u8>) {
+/// Run `spec` to completion through `engine` and return the serialized
+/// final report plus the rendered JSONL telemetry stream.
+fn run_engine(spec: &SimSpec, engine: Engine, horizon: SimTime) -> (String, Vec<u8>) {
     let deadline = SimTime::from_ps(horizon.as_ps() * (1 + spec.drain_factor));
     let staged = SharedSink::new();
     let mut sw = HbmSwitch::new(spec.router.clone()).expect("shipped config is valid");
-    assert_eq!(sw.queue_kind(), QueueKind::default_kind());
-    sw.set_queue_kind(kind);
     sw.enable_live_telemetry(epoch_period(spec), 64, Box::new(staged.clone()));
     let source = build_source(spec, horizon);
     match engine {
@@ -206,6 +195,11 @@ fn shipped_configs() -> Vec<(String, SimSpec)> {
 /// event sequences, not full-length soaks.
 const HORIZON_CAP_US: u64 = 30;
 
+/// The heap is the switch's one event kernel; the timing wheel this
+/// test once compared it against is retired. What stays is the guard
+/// that keeps the equivalence claims in this file from being vacuous:
+/// every shipped config's run under the heap kernel emits telemetry
+/// and offers real traffic.
 #[test]
 fn wheel_and_heap_kernels_agree_on_every_shipped_config() {
     let configs = shipped_configs();
@@ -216,27 +210,15 @@ fn wheel_and_heap_kernels_agree_on_every_shipped_config() {
     );
     for (name, spec) in &configs {
         let horizon = SimTime::from_ns(spec.horizon_us.min(HORIZON_CAP_US) * 1000);
-        let (wheel_report, wheel_jsonl) =
-            run_engine(spec, QueueKind::TimingWheel, Engine::Plain, horizon);
-        let (heap_report, heap_jsonl) =
-            run_engine(spec, QueueKind::BinaryHeap, Engine::Plain, horizon);
-        assert_eq!(
-            wheel_report, heap_report,
-            "{name}: final reports diverged across kernels"
-        );
-        assert_eq!(
-            wheel_jsonl, heap_jsonl,
-            "{name}: JSONL telemetry streams diverged across kernels"
-        );
+        let (report, jsonl) = run_engine(spec, Engine::Plain, horizon);
         assert!(
-            !wheel_jsonl.is_empty(),
+            !jsonl.is_empty(),
             "{name}: telemetry comparison was vacuous"
         );
         // The reports carry real traffic — a config that moved no
         // packets would make the equivalence claim vacuous too.
         assert!(
-            wheel_report.contains("\"offered_packets\":")
-                && !wheel_report.contains("\"offered_packets\":0,"),
+            report.contains("\"offered_packets\":") && !report.contains("\"offered_packets\":0,"),
             "{name}: run offered no packets"
         );
     }
@@ -244,42 +226,31 @@ fn wheel_and_heap_kernels_agree_on_every_shipped_config() {
 
 #[test]
 fn every_engine_and_kernel_agrees_on_every_shipped_config() {
-    // The full matrix: {Plain, Checkpointed} x {wheel, heap}, every
-    // shipped config, byte-identical reports and JSONL streams against
-    // the plain/wheel baseline.
-    let engines = [Engine::Plain, Engine::Checkpointed];
-    let kinds = [QueueKind::TimingWheel, QueueKind::BinaryHeap];
+    // Plain vs checkpointed-at-every-epoch, every shipped config,
+    // byte-identical reports and JSONL streams.
     for (name, spec) in &shipped_configs() {
         let horizon = SimTime::from_ns(spec.horizon_us.min(HORIZON_CAP_US) * 1000);
-        let (base_report, base_jsonl) =
-            run_engine(spec, QueueKind::TimingWheel, Engine::Plain, horizon);
+        let (base_report, base_jsonl) = run_engine(spec, Engine::Plain, horizon);
         assert!(!base_jsonl.is_empty(), "{name}: comparison was vacuous");
-        for engine in engines {
-            for kind in kinds {
-                if engine == Engine::Plain && kind == QueueKind::TimingWheel {
-                    continue; // that's the baseline itself
-                }
-                let (report, jsonl) = run_engine(spec, kind, engine, horizon);
-                assert_eq!(
-                    report, base_report,
-                    "{name}: {engine:?}/{kind:?} report diverged from Plain/TimingWheel"
-                );
-                assert_eq!(
-                    jsonl, base_jsonl,
-                    "{name}: {engine:?}/{kind:?} JSONL stream diverged from Plain/TimingWheel"
-                );
-            }
-        }
+        let (report, jsonl) = run_engine(spec, Engine::Checkpointed, horizon);
+        assert_eq!(
+            report, base_report,
+            "{name}: Checkpointed report diverged from Plain"
+        );
+        assert_eq!(
+            jsonl, base_jsonl,
+            "{name}: Checkpointed JSONL stream diverged from Plain"
+        );
     }
 }
 
 #[test]
-fn wheel_kernel_runs_are_deterministic() {
-    // Differential equivalence is only meaningful if each kernel is
-    // itself reproducible: two same-seed wheel runs must match bytewise.
+fn same_seed_runs_are_deterministic() {
+    // Equivalence is only meaningful if each run is itself
+    // reproducible: two same-seed runs must match bytewise.
     let (name, spec) = &shipped_configs()[0];
     let horizon = SimTime::from_ns(spec.horizon_us.min(HORIZON_CAP_US) * 1000);
-    let a = run_engine(spec, QueueKind::TimingWheel, Engine::Plain, horizon);
-    let b = run_engine(spec, QueueKind::TimingWheel, Engine::Plain, horizon);
-    assert_eq!(a, b, "{name}: same-seed wheel runs diverged");
+    let a = run_engine(spec, Engine::Plain, horizon);
+    let b = run_engine(spec, Engine::Plain, horizon);
+    assert_eq!(a, b, "{name}: same-seed runs diverged");
 }

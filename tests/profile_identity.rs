@@ -2,8 +2,8 @@
 //!
 //! The profiler observes and must never participate: enabling it may
 //! not change one byte of any deterministic output surface. This suite
-//! runs every shipped config under every engine x kernel pairing twice
-//! — once silent, once with a [`ProfileHub`] attached — and demands
+//! runs every shipped config through both event-loop entries twice —
+//! once silent, once with a [`ProfileHub`] attached — and demands
 //! byte-identical final reports and JSONL telemetry streams. The same
 //! contract is checked for the two remaining deterministic surfaces:
 //! Chrome trace exports and checkpoint snapshot containers. Each
@@ -16,7 +16,6 @@ use std::path::PathBuf;
 
 use rip_core::{FaultPlan, HbmSwitch, RouterConfig, RunOutcome};
 use rip_integration_tests::source_for;
-use rip_sim::QueueKind;
 use rip_telemetry::{JsonlSink, Phase, ProfileHub, SharedSink, TraceWindow};
 use rip_traffic::{
     ArrivalProcess, BoundedSource, MergedSource, PacketGenerator, SizeDistribution, TrafficMatrix,
@@ -158,12 +157,11 @@ enum Engine {
     Checkpointed,
 }
 
-/// Run `spec` under an explicit engine/kernel pairing, optionally with
-/// a profiler attached, and return the serialized final report plus
-/// the rendered JSONL telemetry stream.
+/// Run `spec` through `engine`, optionally with a profiler attached,
+/// and return the serialized final report plus the rendered JSONL
+/// telemetry stream.
 fn run_spec(
     spec: &SimSpec,
-    kind: QueueKind,
     engine: Engine,
     horizon: SimTime,
     hub: Option<&ProfileHub>,
@@ -171,7 +169,6 @@ fn run_spec(
     let deadline = SimTime::from_ps(horizon.as_ps() * (1 + spec.drain_factor));
     let staged = SharedSink::new();
     let mut sw = HbmSwitch::new(spec.router.clone()).expect("shipped config is valid");
-    sw.set_queue_kind(kind);
     if let Some(h) = hub {
         sw.enable_profiler(h.clone());
     }
@@ -206,30 +203,27 @@ fn run_spec(
 #[test]
 fn profiler_leaves_every_engine_and_kernel_byte_identical() {
     let engines = [Engine::Plain, Engine::Checkpointed];
-    let kinds = [QueueKind::TimingWheel, QueueKind::BinaryHeap];
     for (name, spec) in &shipped_configs() {
         let horizon = SimTime::from_ns(spec.horizon_us.min(HORIZON_CAP_US) * 1000);
         for engine in engines {
-            for kind in kinds {
-                let silent = run_spec(spec, kind, engine, horizon, None);
-                // A ring-only hub, exactly what `--profile` without an
-                // output stream attaches.
-                let hub = ProfileHub::new();
-                let profiled = run_spec(spec, kind, engine, horizon, Some(&hub));
-                assert_eq!(
-                    silent.0, profiled.0,
-                    "{name}: {engine:?}/{kind:?} report changed under profiling"
-                );
-                assert_eq!(
-                    silent.1, profiled.1,
-                    "{name}: {engine:?}/{kind:?} JSONL stream changed under profiling"
-                );
-                assert!(!silent.1.is_empty(), "{name}: comparison was vacuous");
-                assert!(
-                    hub.records_total() > 0,
-                    "{name}: {engine:?}/{kind:?} profiled run recorded nothing"
-                );
-            }
+            let silent = run_spec(spec, engine, horizon, None);
+            // A ring-only hub, exactly what `--profile` without an
+            // output stream attaches.
+            let hub = ProfileHub::new();
+            let profiled = run_spec(spec, engine, horizon, Some(&hub));
+            assert_eq!(
+                silent.0, profiled.0,
+                "{name}: {engine:?} report changed under profiling"
+            );
+            assert_eq!(
+                silent.1, profiled.1,
+                "{name}: {engine:?} JSONL stream changed under profiling"
+            );
+            assert!(!silent.1.is_empty(), "{name}: comparison was vacuous");
+            assert!(
+                hub.records_total() > 0,
+                "{name}: {engine:?} profiled run recorded nothing"
+            );
         }
     }
 }
@@ -344,13 +338,7 @@ fn profile_records_are_well_formed() {
     let (name, spec) = shipped_configs().remove(0);
     let horizon = SimTime::from_ns(spec.horizon_us.min(HORIZON_CAP_US) * 1000);
     let hub = ProfileHub::new();
-    run_spec(
-        &spec,
-        QueueKind::TimingWheel,
-        Engine::Checkpointed,
-        horizon,
-        Some(&hub),
-    );
+    run_spec(&spec, Engine::Checkpointed, horizon, Some(&hub));
     let records = hub.recent();
     assert!(!records.is_empty(), "{name}: no records to validate");
     let known: Vec<&str> = Phase::ALL.iter().map(|p| p.name()).collect();
